@@ -10,41 +10,32 @@ import itertools
 
 import pytest
 
-from repro.baselines import celf, sieve_streaming, topk_representative
-from repro.core import mttd, mtts
+from repro.eval.efficiency import ALGORITHMS, run_algorithm
 
 K, EPS = 10, 0.1
-
-ALGOS = {
-    "celf": lambda st, q: celf(st, q, K),
-    "sieve": lambda st, q: sieve_streaming(st, q, K, eps=EPS),
-    "topk_repr": lambda st, q: topk_representative(st, q, K),
-    "mtts": lambda st, q: mtts(st, q, K, eps=EPS),
-    "mttd": lambda st, q: mttd(st, q, K, eps=EPS),
-}
 
 
 def _bench(benchmark, state, queries, alg):
     it = itertools.cycle(queries)
-    result = benchmark(lambda: ALGOS[alg](state, next(it)))
+    result = benchmark(lambda: run_algorithm(alg, state, next(it), K, EPS))
     assert result.value >= 0
 
 
-@pytest.mark.parametrize("alg", list(ALGOS))
+@pytest.mark.parametrize("alg", ALGORITHMS)
 def test_query_time_reddit(benchmark, bench_reddit, reddit_queries, alg):
     _, state = bench_reddit
     benchmark.extra_info["n_active"] = state.window.n_active
     _bench(benchmark, state, reddit_queries, alg)
 
 
-@pytest.mark.parametrize("alg", list(ALGOS))
+@pytest.mark.parametrize("alg", ALGORITHMS)
 def test_query_time_aminer(benchmark, bench_aminer, aminer_queries, alg):
     _, state = bench_aminer
     benchmark.extra_info["n_active"] = state.window.n_active
     _bench(benchmark, state, aminer_queries, alg)
 
 
-@pytest.mark.parametrize("alg", list(ALGOS))
+@pytest.mark.parametrize("alg", ALGORITHMS)
 def test_query_time_twitter(benchmark, bench_twitter, twitter_queries, alg):
     _, state = bench_twitter
     benchmark.extra_info["n_active"] = state.window.n_active

@@ -42,7 +42,12 @@ def parser(desc: str) -> argparse.ArgumentParser:
     return p
 
 
-def stream_for(name: str, args) -> "tuple":
+def generate_for(name: str, args) -> "tuple":
+    """Generate profile ``name``'s stream at ``args.scale``; → (stream, T).
+
+    T is the window length to replay it with: ``args.T``, or half the
+    stream when the stream is no longer than that.
+    """
     cfg = DEFAULTS
     n = (cfg.bench_n if args.scale == "bench" else cfg.test_n)[name]
     duration = cfg.duration if args.scale == "bench" else max(4 * args.T // 3, 2 * args.L)
@@ -50,8 +55,12 @@ def stream_for(name: str, args) -> "tuple":
     stream = generate_stream(
         PROFILES[name], n_elements=n, z=z, duration=duration, seed=args.seed
     )
-    state = build_state(stream, args.T if duration > args.T else duration // 2, args.L)
-    return stream, state
+    return stream, args.T if duration > args.T else duration // 2
+
+
+def stream_for(name: str, args) -> "tuple":
+    stream, T = generate_for(name, args)
+    return stream, build_state(stream, T, args.L)
 
 
 def queries_for(stream, n: int, args):

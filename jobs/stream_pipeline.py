@@ -8,10 +8,8 @@ over the streamed-in state.
 import sys, os, tempfile
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from _common import parser, queries_for, save, session, stream_for
+from _common import generate_for, parser, queries_for, save, session
 from repro.core import mttd, mtts
-from repro.corpus import PROFILES, generate_stream
-from repro.eval.config import DEFAULTS
 from repro.spark.streaming import run_streaming, write_buckets
 
 
@@ -21,12 +19,7 @@ def main() -> None:
     args = p.parse_args()
     spark = session("stream-pipeline")
     name = args.datasets[0]
-    cfg = DEFAULTS
-    n = (cfg.bench_n if args.scale == "bench" else cfg.test_n)[name]
-    duration = cfg.duration if args.scale == "bench" else max(4 * args.T // 3, 2 * args.L)
-    z = args.z if args.scale == "bench" else min(args.z, 16)
-    stream = generate_stream(PROFILES[name], n_elements=n, z=z, duration=duration, seed=args.seed)
-    T = args.T if duration > args.T else duration // 2
+    stream, T = generate_for(name, args)
     with tempfile.TemporaryDirectory() as tmp:
         n_buckets = write_buckets(stream, tmp, args.L)
         state = run_streaming(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 
-from repro.core.mtts import QueryResult
+from repro.core.query import QueryResult, parse_query
 from repro.core.scoring import CoverageState, singleton_delta
 from repro.core.state import SIRStream
 
@@ -23,9 +23,8 @@ def celf(state: SIRStream, query, k: int) -> QueryResult:
     entry whose stamp matches the current |S| is exact and can be taken
     immediately (by submodularity all other stale gains only shrink).
     """
+    topics, weights = parse_query(query, k)
     w = state.window
-    topics = [int(i) for i in query.topics]
-    weights = [float(x) for x in query.weights]
     cov = CoverageState(w, topics, weights, state.lam, state.eta)
     n_eval = 0
     # Index-less: singleton scores are computed from raw element data,
@@ -48,4 +47,4 @@ def celf(state: SIRStream, query, k: int) -> QueryResult:
             n_eval += 1
             if g > 0:
                 heapq.heappush(heap, (-g, eid, len(cov.S)))
-    return QueryResult(list(cov.S), cov.value, n_eval, 0)
+    return QueryResult.of(cov, n_eval, 0)

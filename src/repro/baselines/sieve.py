@@ -8,9 +8,7 @@ evaluated.
 """
 from __future__ import annotations
 
-import math
-
-from repro.core.mtts import QueryResult
+from repro.core.query import Phi, QueryResult, parse_query
 from repro.core.scoring import CoverageState, singleton_delta
 from repro.core.state import SIRStream
 
@@ -20,12 +18,9 @@ __all__ = ["sieve_streaming"]
 def sieve_streaming(state: SIRStream, query, k: int, eps: float = 0.1) -> QueryResult:
     """One pass over A_t with the classic sieve admission rule
     Δ(e|S_v) ≥ (v/2 − f(S_v)) / (k − |S_v|)."""
+    topics, weights = parse_query(query, k, eps)
     w = state.window
-    topics = [int(i) for i in query.topics]
-    weights = [float(x) for x in query.weights]
-    log_base = math.log1p(eps)
-    cands: dict[int, CoverageState] = {}
-    m = 0.0
+    phi = Phi(k, eps, lambda: CoverageState(w, topics, weights, state.lam, state.eta))
     n_eval = 0
     for eid in sorted(w.active):  # arbitrary but deterministic order
         e = w.store[eid]
@@ -33,24 +28,11 @@ def sieve_streaming(state: SIRStream, query, k: int, eps: float = 0.1) -> QueryR
         n_eval += 1
         if d <= 0:
             continue
-        if d > m:
-            m = d
-            j_lo = math.ceil(math.log(m) / log_base - 1e-9)
-            j_hi = math.floor(math.log(2.0 * k * m) / log_base + 1e-9)
-            for j in list(cands):
-                if j < j_lo or j > j_hi:
-                    del cands[j]
-            for j in range(j_lo, j_hi + 1):
-                if j not in cands:
-                    cands[j] = CoverageState(w, topics, weights, state.lam, state.eta)
-        for j, cand in cands.items():
+        phi.observe(d)
+        for j, cand in phi.cands.items():
             if len(cand.S) >= k:
                 continue
-            v = (1.0 + eps) ** j
-            need = (v / 2.0 - cand.value) / (k - len(cand.S))
+            need = (phi.guess(j) / 2.0 - cand.value) / (k - len(cand.S))
             if cand.gain(e) >= need:
                 cand.add(e)
-    if not cands:
-        return QueryResult([], 0.0, n_eval, 0)
-    best = max(cands.values(), key=lambda c: c.value)
-    return QueryResult(list(best.S), best.value, n_eval, 0)
+    return QueryResult.of(phi.best(), n_eval, 0)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 
-from repro.core.mtts import QueryResult
+from repro.core.query import QueryResult, parse_query
 from repro.core.ranked_lists import Traversal
 from repro.core.scoring import CoverageState
 from repro.core.state import SIRStream
@@ -20,29 +20,20 @@ __all__ = ["topk_representative"]
 
 def topk_representative(state: SIRStream, query, k: int) -> QueryResult:
     """Threshold-pruned top-k by δ(e,x) over the ranked lists."""
+    topics, weights = parse_query(query, k)
     w = state.window
-    topics = [int(i) for i in query.topics]
-    weights = [float(x) for x in query.weights]
     trav = Traversal(state.rl, topics, weights)
     best: list[tuple[float, int]] = []  # min-heap of (δ, eid), size ≤ k
     n_eval = 0
-    while True:
-        ub = trav.upper_bound()
-        if ub <= 0 or (len(best) == k and ub < best[0][0]):
-            break
-        popped = trav.pop_best()
-        if popped is None:
-            break
-        eid, _ = popped
+    while (eid := trav.next_above(best[0][0] if len(best) == k else 0.0)) is not None:
         d = w.delta_x(eid, topics, weights)
         n_eval += 1
         if len(best) < k:
             heapq.heappush(best, (d, eid))
         elif d > best[0][0]:
             heapq.heapreplace(best, (d, eid))
-    eids = [eid for _, eid in sorted(best, reverse=True)]
     # Report the true set score f(S,x) so quality is comparable
     cov = CoverageState(w, topics, weights, state.lam, state.eta)
-    for eid in eids:
+    for _, eid in sorted(best, reverse=True):
         cov.add(w.store[eid])
-    return QueryResult(eids, cov.value, n_eval, trav.n_retrieved)
+    return QueryResult.of(cov, n_eval, trav.n_retrieved)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 
-from repro.core.mtts import QueryResult, _EPS
+from repro.core.query import _EPS, QueryResult, parse_query
 from repro.core.ranked_lists import Traversal
 from repro.core.scoring import CoverageState
 from repro.core.state import SIRStream
@@ -25,11 +25,8 @@ __all__ = ["mttd"]
 
 def mttd(state: SIRStream, query, k: int, eps: float = 0.1) -> QueryResult:
     """Process k-SIR query ``query`` (.topics/.weights) over ``state``."""
-    if k < 1:
-        raise ValueError("k must be positive")
+    topics, weights = parse_query(query, k, eps)
     w = state.window
-    topics = [int(i) for i in query.topics]
-    weights = [float(x) for x in query.weights]
     trav = Traversal(state.rl, topics, weights)
     cov = CoverageState(w, topics, weights, state.lam, state.eta)
     buf: list[tuple[float, int]] = []  # (−Δ_e, eid), Δ_e a stale upper bound
@@ -39,14 +36,7 @@ def mttd(state: SIRStream, query, k: int, eps: float = 0.1) -> QueryResult:
 
     while tau >= tau_term and tau > _EPS:
         # retrieve(τ): pull every element whose UB can still reach τ
-        while True:
-            ub = trav.upper_bound()
-            if ub < tau or ub <= _EPS:
-                break
-            popped = trav.pop_best()
-            if popped is None:
-                break
-            eid, _ = popped
+        while (eid := trav.next_above(tau)) is not None:
             heapq.heappush(buf, (-w.delta_x(eid, topics, weights), eid))
         # evaluation round: admit while some buffered Δ_e can reach τ
         while buf and -buf[0][0] >= tau:
@@ -56,11 +46,11 @@ def mttd(state: SIRStream, query, k: int, eps: float = 0.1) -> QueryResult:
             if g >= tau:
                 cov.add(w.store[eid])
                 if len(cov.S) == k:
-                    return QueryResult(list(cov.S), cov.value, n_eval, trav.n_retrieved)
+                    return QueryResult.of(cov, n_eval, trav.n_retrieved)
             elif g > _EPS:
                 heapq.heappush(buf, (-g, eid))
             # g ≈ 0: drop — submodularity says it can never gain again
         tau_term = cov.value * eps / k
         tau *= 1.0 - eps
 
-    return QueryResult(list(cov.S), cov.value, n_eval, trav.n_retrieved)
+    return QueryResult.of(cov, n_eval, trav.n_retrieved)

@@ -11,79 +11,37 @@ admission threshold TH.  Guarantees a (1/2 − ε)-approximation
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from repro.core.query import Phi, QueryResult, parse_query
 from repro.core.ranked_lists import Traversal
 from repro.core.scoring import CoverageState
 from repro.core.state import SIRStream
 
 __all__ = ["mtts", "QueryResult"]
 
-_EPS = 1e-12
-
-
-@dataclass
-class QueryResult:
-    """Result of one k-SIR query: selected eids, f(S,x), and work counters."""
-
-    eids: list[int]
-    value: float
-    n_evaluated: int  # elements scored (the n'_t of the complexity analysis)
-    n_retrieved: int  # tuples pulled off the ranked lists
-
 
 def mtts(state: SIRStream, query, k: int, eps: float = 0.1) -> QueryResult:
     """Process k-SIR query ``query`` (.topics/.weights) over ``state``."""
-    if k < 1:
-        raise ValueError("k must be positive")
+    topics, weights = parse_query(query, k, eps)
     w = state.window
-    topics = [int(i) for i in query.topics]
-    weights = [float(x) for x in query.weights]
     trav = Traversal(state.rl, topics, weights)
-    log_base = math.log1p(eps)
-    cands: dict[int, CoverageState] = {}
-    delta_max = 0.0
+    phi = Phi(k, eps, lambda: CoverageState(w, topics, weights, state.lam, state.eta))
     th = 0.0
     n_eval = 0
-
-    def _threshold(j: int) -> float:
-        return (1.0 + eps) ** j / (2.0 * k)
-
-    while True:
-        ub = trav.upper_bound()
-        if ub < th or ub <= _EPS:
-            break
-        popped = trav.pop_best()
-        if popped is None:
-            break
-        eid, _ = popped
+    while (eid := trav.next_above(th)) is not None:
         e = w.store[eid]
         dex = w.delta_x(eid, topics, weights)
         n_eval += 1
-        if dex > delta_max:
-            delta_max = dex
-            # Φ = {(1+ε)^j : δ_max ≤ (1+ε)^j ≤ 2·k·δ_max}
-            j_lo = math.ceil(math.log(delta_max) / log_base - 1e-9)
-            j_hi = math.floor(math.log(2.0 * k * delta_max) / log_base + 1e-9)
-            for j in list(cands):
-                if j < j_lo or j > j_hi:
-                    del cands[j]
-            for j in range(j_lo, j_hi + 1):
-                if j not in cands:
-                    cands[j] = CoverageState(w, topics, weights, state.lam, state.eta)
-        for j in sorted(cands):  # ascending thresholds: break at first fail
-            t_j = _threshold(j)
+        phi.observe(dex)
+        for j in sorted(phi.cands):  # ascending thresholds: break at first fail
+            t_j = phi.guess(j) / (2.0 * k)
             if dex < t_j:
                 break  # δ(e,x) < φ/2k for this and every larger φ
-            cand = cands[j]
+            cand = phi.cands[j]
             if len(cand.S) < k and cand.gain(e) >= t_j:
                 cand.add(e)
-        unfilled = [j for j, c in cands.items() if len(c.S) < k]
-        th = _threshold(min(unfilled)) if unfilled else math.inf
-        if cands and not unfilled:
+        unfilled = [j for j, c in phi.cands.items() if len(c.S) < k]
+        th = phi.guess(min(unfilled)) / (2.0 * k) if unfilled else math.inf
+        if phi.cands and not unfilled:
             break  # every candidate full: no element can be admitted
-
-    if not cands:
-        return QueryResult([], 0.0, n_eval, trav.n_retrieved)
-    best = max(cands.values(), key=lambda c: c.value)
-    return QueryResult(list(best.S), best.value, n_eval, trav.n_retrieved)
+    return QueryResult.of(phi.best(), n_eval, trav.n_retrieved)

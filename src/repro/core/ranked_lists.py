@@ -10,7 +10,9 @@ element is retrieved at most once per query.
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Iterable
+from typing import Iterable
+
+from repro.core.query import _EPS
 
 __all__ = ["RankedLists", "Traversal"]
 
@@ -118,6 +120,19 @@ class Traversal:
         self._cursor[best_i] += 1
         self.n_retrieved += 1
         return best, best_i
+
+    def next_above(self, bound: float) -> int | None:
+        """Pop the next eid while UB(x) ≥ ``bound`` and UB(x) > ``_EPS``; else None.
+
+        The stop rule of every ranked-list scan: no unvisited element can
+        score more than UB(x), so once it falls below the caller's
+        threshold (or to zero) the rest of the lists can be skipped.
+        """
+        ub = self.upper_bound()
+        if ub < bound or ub <= _EPS:
+            return None
+        popped = self.pop_best()
+        return None if popped is None else popped[0]
 
     def exhausted(self) -> bool:
         return all(self.head(i) is None for i in self.topics)

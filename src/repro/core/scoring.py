@@ -108,14 +108,6 @@ class WindowContext(Protocol):
         ...
 
 
-class _EmptyContext:
-    def children_of(self, eid: int) -> list[Element]:
-        return []
-
-
-EMPTY_CONTEXT = _EmptyContext()
-
-
 class CoverageState:
     """Incremental coverage state of a candidate set S for one query.
 
@@ -244,11 +236,9 @@ def influence_set_score(
     ``children[eid]`` must be the in-window children I_t(e) of each
     member of S.
     """
-    elems = list(elems)
-    member = {e.eid: e for e in elems}
-    # group: child -> set of parents in S that reach it
+    # rem[c] = Π over parents e ∈ S that reach child c of (1 − p_i(e⇝c));
+    # children that are members of S still count (I_t(S) is about refs)
     rem: dict[int, float] = {}
-    cseen: dict[int, Element] = {}
     for e in elems:
         for c in children.get(e.eid, []):
             pc = c.tp.get(topic)
@@ -256,9 +246,6 @@ def influence_set_score(
             if pc is None or pe is None:
                 continue
             rem[c.eid] = rem.get(c.eid, 1.0) * (1.0 - pe * pc)
-            cseen[c.eid] = c
-    # children that are members of S still count (I_t(S) is about refs)
-    del member
     return sum(1.0 - r for r in rem.values())
 
 

@@ -17,13 +17,17 @@ from repro.baselines import celf, sieve_streaming, topk_representative
 from repro.core import mttd, mtts
 from repro.core.state import SIRStream
 from repro.corpus.generator import Query
+from repro.eval.config import DEFAULTS
 
-__all__ = ["bench_queries", "sweep_epsilon", "sweep_k", "update_time", "ALGORITHMS"]
+__all__ = [
+    "bench_queries", "run_algorithm", "sweep_epsilon", "sweep_k", "update_time", "ALGORITHMS",
+]
 
 ALGORITHMS = ("CELF", "SieveStreaming", "Top-k Repr", "MTTS", "MTTD")
 
 
-def _run(alg: str, state: SIRStream, q: Query, k: int, eps: float):
+def run_algorithm(alg: str, state: SIRStream, q: Query, k: int, eps: float):
+    """Answer ``q`` with the algorithm named ``alg`` (one of ALGORITHMS)."""
     if alg == "CELF":
         return celf(state, q, k)
     if alg == "SieveStreaming":
@@ -55,7 +59,7 @@ def bench_queries(
     for q in queries:
         for a in algorithms:
             t0 = time.perf_counter()
-            res = _run(a, state, q, k, eps)
+            res = run_algorithm(a, state, q, k, eps)
             acc[a]["ms"] += (time.perf_counter() - t0) * 1e3
             acc[a]["val"] += res.value
             acc[a]["ev"] += res.n_evaluated / n_active
@@ -85,7 +89,7 @@ def sweep_epsilon(
     queries: list[Query],
     *,
     k: int = 10,
-    eps_grid: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5),
+    eps_grid: tuple[float, ...] = DEFAULTS.eps_grid,
 ) -> pd.DataFrame:
     """Figure 7/8: MTTS/MTTD query time and score as ε varies."""
     rows = []
@@ -101,7 +105,7 @@ def sweep_k(
     queries: list[Query],
     *,
     eps: float = 0.1,
-    k_grid: tuple[int, ...] = (5, 10, 15, 20, 25),
+    k_grid: tuple[int, ...] = DEFAULTS.k_grid,
     algorithms: tuple[str, ...] = ALGORITHMS,
 ) -> pd.DataFrame:
     """Figure 9/10/11: all algorithms as k varies."""

@@ -12,7 +12,8 @@ Input tables (long/normalised, from
 Each function returns a DataFrame; every one is verified row-for-row
 against an equivalent DuckDB SQL query by the test suite (the
 ``assert_equivalent`` oracle), and against the driver-side incremental
-state.
+state.  Only the tests run them: they are an independent re-derivation
+of the Alg. 1 state that :mod:`repro.core.window` maintains.
 """
 from __future__ import annotations
 

@@ -97,13 +97,15 @@ def run_streaming(
         if pdf.empty:
             return
         for b, grp in sorted(pdf.groupby("bucket_t"), key=lambda kv: kv[0]):
+            # (ts, eid) is a total order: a reply in its parent's minute
+            # must still be ingested after the parent it refers to
             elems = [
                 make_element(
                     int(r.eid), int(r.ts), np.asarray(r.words, dtype=int),
                     np.asarray(r.freqs, dtype=float), np.asarray(r.topics, dtype=int),
                     np.asarray(r.probs, dtype=float), np.asarray(r.refs, dtype=int), phi,
                 )
-                for r in grp.sort_values("ts").itertuples()
+                for r in grp.sort_values(["ts", "eid"]).itertuples()
             ]
             state.ingest_bucket(elems, int(b))
 

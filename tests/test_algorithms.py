@@ -9,6 +9,7 @@ MTTS/MTTD evaluate far fewer elements than there are active).
 """
 import itertools
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -165,11 +166,38 @@ def test_k_larger_than_candidates(tiny_state, tiny_queries):
     assert len(res.eids) <= tiny_state.window.n_active
 
 
-def test_invalid_k_raises(tiny_state, tiny_queries):
+ALL_ALGORITHMS = [mtts, mttd, celf, sieve_streaming, topk_representative]
+EPS_ALGORITHMS = [mtts, mttd, sieve_streaming]
+
+
+def _name(alg):
+    return alg.__name__
+
+
+@pytest.mark.parametrize("alg", ALL_ALGORITHMS, ids=_name)
+def test_invalid_k_raises(tiny_state, tiny_queries, alg):
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            alg(tiny_state, tiny_queries[0], k)
+
+
+@pytest.mark.parametrize("eps", [-0.1, 0.0, 1.0, 1.5])
+@pytest.mark.parametrize("alg", EPS_ALGORITHMS, ids=_name)
+def test_eps_outside_unit_interval_raises(tiny_state, tiny_queries, alg, eps):
+    """ε ∉ (0, 1) is rejected up front (MTTD would never stop at ε ≤ 0)."""
     with pytest.raises(ValueError):
-        mtts(tiny_state, tiny_queries[0], 0)
+        alg(tiny_state, tiny_queries[0], 3, eps=eps)
+
+
+@pytest.mark.parametrize(
+    "topics, weights",
+    [([0, 1], [0.5, -0.5]), ([0, 1], [0.5, math.nan]), ([0, 1], [1.0])],
+    ids=["negative", "nan", "length_mismatch"],
+)
+@pytest.mark.parametrize("alg", ALL_ALGORITHMS, ids=_name)
+def test_invalid_weights_raise(tiny_state, alg, topics, weights):
     with pytest.raises(ValueError):
-        mttd(tiny_state, tiny_queries[0], -1)
+        alg(tiny_state, SimpleNamespace(topics=topics, weights=weights), 3)
 
 
 def test_results_are_active_and_unique(small_state, small_queries):

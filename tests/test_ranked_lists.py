@@ -142,6 +142,20 @@ def test_traversal_empty_topic():
     assert tr.pop_best() is None
 
 
+def test_next_above_stops_below_bound_and_at_zero():
+    """next_above pops while UB(x) ≥ bound and stops, popping nothing,
+    once UB(x) falls below it or to zero."""
+    rl = _rl_from([(0, 1, 3.0), (0, 2, 2.0), (0, 3, 1.0), (0, 4, 0.0)])
+    tr = Traversal(rl, [0], [1.0])
+    assert tr.next_above(2.0) == 1
+    assert tr.next_above(2.0) == 2  # UB = 2.0 still reaches the bound
+    assert tr.next_above(2.0) is None  # UB = 1.0 < 2.0
+    assert tr.n_retrieved == 2
+    assert tr.next_above(0.0) == 3
+    assert tr.next_above(0.0) is None  # only a δ = 0 tuple is left
+    assert tr.n_retrieved == 3
+
+
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_traversal_is_total_and_unique(data):

@@ -5,10 +5,13 @@ SIRStream in exactly the state the batch driver produces: same time,
 same active set, same δ scores, same ranked-list order — and the
 queries processed on top of it must return identical results.
 """
+import os
+
 import numpy as np
+import pandas as pd
 import pytest
 
-from repro.core import SIRStream, build_elements, mttd, mtts
+from repro.core import SIRStream, build_elements, make_element, mttd, mtts
 from repro.corpus import TWITTER, generate_queries, generate_stream
 from repro.spark.streaming import bucket_schema, run_streaming, write_buckets
 
@@ -94,3 +97,42 @@ def test_streaming_element_reconstruction(stream, stream_state):
         assert np.array_equal(e.refs, r.refs)
         for i in e.sigma:
             assert np.allclose(e.sigma[i], r.sigma[i])
+
+
+def test_same_minute_reply_follows_its_parent(spark, tmp_path):
+    """Rows sharing a timestamp are ingested in eid order, so a reply
+    posted in the same minute as its parent keeps its reference.
+
+    One bucket holds a reply chain (element i refers to i−1) with every
+    row at the same ts: enough tied rows that an unstable sort on ts
+    alone reorders them, and any reordering drops a reference.
+    """
+    n, ts, L, T = 200, 5, 10, 60
+    rng = np.random.default_rng(3)
+    phi = rng.dirichlet(np.ones(8), size=2)  # 2 topics × 8 words
+    rows = [
+        {
+            "eid": e, "ts": ts, "bucket_t": L,
+            "words": [e % 8, (e + 3) % 8], "freqs": [1, 2],
+            "topics": [0, 1], "probs": [0.7, 0.3],
+            "refs": [e - 1] if e else [],
+        }
+        for e in range(n)
+    ]
+    path = str(tmp_path / "buckets")
+    os.makedirs(path)
+    pd.DataFrame(rows, columns=[f.name for f in bucket_schema().fields]).to_parquet(
+        os.path.join(path, f"bucket-{L:012d}.parquet"), index=False
+    )
+    elems = [
+        make_element(r["eid"], r["ts"], np.asarray(r["words"]), np.asarray(r["freqs"], float),
+                     r["topics"], r["probs"], np.asarray(r["refs"]), phi)
+        for r in rows
+    ]
+    batch = SIRStream(T=T, L=L, lam=LAM, eta=ETA)
+    batch.load(elems)
+    batch.run_all()
+    streamed = run_streaming(spark, path, phi, T, L, LAM, ETA)
+
+    assert streamed.window.children == batch.window.children
+    assert streamed.window.delta == batch.window.delta
