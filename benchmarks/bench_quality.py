@@ -2,8 +2,9 @@
 
 Runs all algorithms over a query batch at bench scale and asserts the
 paper's quality claims: MTTD within 1 % of CELF, MTTS within 5 %, both
-robust across ε, and Top-k Representative the weakest.  The timing side
-of the same sweep lives in bench_query_time.py.
+robust across ε, and Top-k Representative the weakest.  Query and
+update times are measured by ``jobs/efficiency_sweep.py`` /
+``jobs/scalability_sweep.py`` and by perfbench.
 """
 import pytest
 

@@ -14,6 +14,7 @@ word ids, so "TF-IDF" is computed over ids directly.
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
@@ -22,19 +23,21 @@ from repro.core.state import SIRStream
 __all__ = ["tfidf_topk", "div_topk"]
 
 
-_TFIDF_CACHE: dict[int, tuple[int, tuple]] = {}
+# state → ((t, n_ingested), index); a weak key is the state itself, so a
+# new state that reuses a dead one's id() never hits its index
+_TFIDF_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _tfidf(state: SIRStream) -> tuple[dict[int, dict[int, float]], dict[int, float]]:
     """Log-normalised TF-IDF vectors (L2-normalised) of active elements.
 
-    Memoised per (state, window time): query batches at one snapshot
-    (the evaluation harnesses) reuse one index instead of rebuilding it
-    per query.
+    Memoised per state snapshot: query batches at one snapshot (the
+    evaluation harnesses) reuse one index instead of rebuilding it per
+    query.
     """
-    key = id(state)
-    hit = _TFIDF_CACHE.get(key)
-    if hit is not None and hit[0] == state.t:
+    version = (state.t, state.n_ingested)
+    hit = _TFIDF_CACHE.get(state)
+    if hit is not None and hit[0] == version:
         return hit[1]
     w = state.window
     df: dict[int, int] = {}
@@ -55,7 +58,7 @@ def _tfidf(state: SIRStream) -> tuple[dict[int, dict[int, float]], dict[int, flo
             v = {word: x / norm for word, x in v.items()}
         vecs[eid] = v
     _TFIDF_CACHE.clear()  # keep at most one snapshot cached
-    _TFIDF_CACHE[key] = (state.t, (vecs, idf))
+    _TFIDF_CACHE[state] = (version, (vecs, idf))
     return vecs, idf
 
 

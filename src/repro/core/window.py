@@ -2,13 +2,17 @@
 
 ``ActiveWindow`` maintains, at stream time t:
 
-* the sliding window W_t = {e | e.ts ∈ [t−T+1, t]},
-* the active set A_t = W_t ∪ {parents referred to by W_t} — an element
-  is active iff t_e ≥ t−T+1, where t_e = max(e.ts, last-referred ts),
+* the sliding window W_t = {e | e.ts ∈ [t−T+1, t]}: one queue in arrival
+  order, each entry holding the parents its element was linked to,
 * per-parent in-window children I_t(e) with per-topic probability sums
   (so singleton influence I_{i,t}(e) = p_i(e)·Σ_{c∈I_t(e)} p_i(c) is O(1)),
+  kept only while I_t(e) ≠ ∅,
+* the active set A_t = W_t ∪ {e | I_t(e) ≠ ∅} (W_t plus referred parents),
 * per-element topic-wise scores δ_i(e) = λ·R_i(e) + (1−λ)/η·I_{i,t}(e),
   pushed into the ranked lists whenever they change.
+
+Sliding to t pops the queue while ts ≤ t−T, unlinks those elements from
+their parents and drops from A_t whatever has left W_t with no child left.
 
 Beyond Algorithm 1 we also *recompute parent scores when a child falls
 out of W_t* (the paper notes influence "fluctuates over the sliding
@@ -18,7 +22,7 @@ follow directly from the definitions of A_t and I_t.
 """
 from __future__ import annotations
 
-import heapq
+from collections import deque
 from typing import Iterable
 
 from repro.core.ranked_lists import RankedLists
@@ -38,28 +42,19 @@ class ActiveWindow:
         self.t = 0
         self.store: dict[int, Element] = {}
         self.active: set[int] = set()
-        self.t_e: dict[int, int] = {}
-        # children[p] = ts-ascending [(child_ts, child_eid)]; front-pruned
-        self.children: dict[int, list[tuple[int, int]]] = {}
+        # W_t in arrival order: (element, eids of the parents it was linked to)
+        self._window: deque[tuple[Element, list[int]]] = deque()
+        self._last_ts = float("-inf")  # ts of the latest arrival
+        # children[p] = I_t(p) as child eids in arrival order
+        self.children: dict[int, deque[int]] = {}
         # chsum[p][i] = Σ_{c ∈ I_t(p)} p_i(c), keyed on p's own topics
         self.chsum: dict[int, dict[int, float]] = {}
         self.delta: dict[int, dict[int, float]] = {}
-        self._expiry: list[tuple[int, int]] = []  # (t_e, eid) lazy heap
-        self._child_expiry: list[tuple[int, int, int]] = []  # (child_ts, parent, child)
 
     # -- queries over state ---------------------------------------------
-    @property
-    def cutoff(self) -> int:
-        """Largest timestamp already outside the window (= t − T)."""
-        return self.t - self.T
-
-    def in_window(self, eid: int) -> bool:
-        return eid in self.store and self.store[eid].ts > self.cutoff
-
     def children_of(self, eid: int) -> list[Element]:
         """I_t(eid): active in-window children (the scorer's context)."""
-        cut = self.cutoff
-        return [self.store[c] for ts, c in self.children.get(eid, ()) if ts > cut]
+        return [self.store[c] for c in self.children.get(eid, ())]
 
     def delta_of(self, eid: int) -> dict[int, float]:
         return self.delta.get(eid, {})
@@ -77,70 +72,69 @@ class ActiveWindow:
 
     # -- maintenance -----------------------------------------------------
     def ingest(self, elements: Iterable[Element], t: int) -> None:
-        """Apply bucket B_t (elements with ts ≤ t) and slide to time t."""
+        """Apply bucket B_t and slide to time t.  ``ValueError``, state
+        untouched, if t goes back or a ts is < the last arrival's or > t."""
         if t < self.t:
             raise ValueError("time must be monotone")
+        elements = list(elements)
+        last = self._last_ts
+        for e in elements:
+            if not last <= e.ts <= t:
+                raise ValueError(f"element {e.eid}: ts {e.ts} not in [{last}, {t}]")
+            last = e.ts
+        self._last_ts = last
         dirty: set[int] = set()
         for e in elements:
             self.store[e.eid] = e
             self.active.add(e.eid)
-            self.t_e[e.eid] = e.ts
-            heapq.heappush(self._expiry, (e.ts, e.eid))
             dirty.add(e.eid)
+            linked: list[int] = []
             for p in e.refs:
                 parent = self.store.get(int(p))
                 if parent is None:
                     continue  # reference to an element outside the run
-                self.children.setdefault(parent.eid, []).append((e.ts, e.eid))
-                heapq.heappush(self._child_expiry, (e.ts, parent.eid, e.eid))
+                linked.append(parent.eid)
+                self.children.setdefault(parent.eid, deque()).append(e.eid)
                 cs = self.chsum.setdefault(parent.eid, {})
                 for i in parent.tp:
                     pc = e.tp.get(i)
                     if pc:
                         cs[i] = cs.get(i, 0.0) + pc
-                self.t_e[parent.eid] = e.ts
-                heapq.heappush(self._expiry, (e.ts, parent.eid))
-                if parent.eid not in self.active:
-                    self.active.add(parent.eid)  # re-enters A_t by definition
+                self.active.add(parent.eid)  # (re-)enters A_t by definition
                 dirty.add(parent.eid)
+            self._window.append((e, linked))
         self.t = t
         self._expire(dirty)
         for eid in dirty:
-            if eid in self.active:
-                self._refresh(eid)
+            self._refresh(eid)
 
     def _expire(self, dirty: set[int]) -> None:
-        cut = self.cutoff
-        # 1. children leaving W_t: shrink I_t(parent), decrement chsum
-        while self._child_expiry and self._child_expiry[0][0] <= cut:
-            cts, p, c = heapq.heappop(self._child_expiry)
-            child = self.store.get(c)
-            parent = self.store.get(p)
-            if child is None or parent is None:
-                continue
-            cs = self.chsum.get(p)
-            if cs is not None:
-                for i in parent.tp:
-                    pc = child.tp.get(i)
-                    if pc:
-                        cs[i] = cs.get(i, 0.0) - pc
-            lst = self.children.get(p)
-            if lst:
-                while lst and lst[0][0] <= cut:
-                    lst.pop(0)
-            if p in self.active:
-                dirty.add(p)
-        # 2. elements leaving A_t: t_e ≤ t − T ⇒ drop from lists
-        while self._expiry and self._expiry[0][0] <= cut:
-            te, eid = heapq.heappop(self._expiry)
-            if self.t_e.get(eid, -1) != te:
-                continue  # stale entry: t_e advanced since push
-            if eid in self.active:
-                self.active.discard(eid)
-                e = self.store[eid]
-                self.rl.remove_element(eid, e.tp.keys())
-                self.delta.pop(eid, None)
-                dirty.discard(eid)
+        cut = self.t - self.T  # largest ts already outside W_t
+        while self._window and self._window[0][0].ts <= cut:
+            e, linked = self._window.popleft()
+            if e.eid not in self.children:
+                self._drop(e, dirty)
+            for p in linked:
+                kids = self.children[p]
+                kids.popleft()  # the front is e: children leave in arrival order
+                if kids:
+                    parent, cs = self.store[p], self.chsum[p]
+                    for i in parent.tp:
+                        pc = e.tp.get(i)
+                        if pc:  # a true sum is ≥ 0: cut drift below it
+                            cs[i] = max(cs[i] - pc, 0.0)
+                    dirty.add(p)
+                else:
+                    # p arrived before e, so it has left W_t too
+                    del self.children[p], self.chsum[p]
+                    self._drop(self.store[p], dirty)
+
+    def _drop(self, e: Element, dirty: set[int]) -> None:
+        """Remove e from A_t and its tuples from the ranked lists."""
+        self.active.discard(e.eid)
+        self.rl.remove_element(e.eid, e.tp.keys())
+        self.delta.pop(e.eid, None)
+        dirty.discard(e.eid)
 
     def _refresh(self, eid: int) -> None:
         """Recompute δ_i(eid) for its topics and reposition in RL_i."""

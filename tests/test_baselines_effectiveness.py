@@ -9,7 +9,10 @@ import pytest
 
 from repro.baselines import div_topk, rel_topk, sumblr, tfidf_topk
 from repro.baselines.rel import topic_cosine
-from repro.corpus import generate_queries
+from repro.core import SIRStream, build_elements
+from repro.corpus import AMINER, generate_queries
+
+from stream_fixtures import TINY_L, TINY_T
 
 
 @pytest.fixture(scope="module")
@@ -119,3 +122,25 @@ def test_topic_cosine_properties(small_state):
 def test_empty_keyword_queries(small_state):
     assert tfidf_topk(small_state, np.array([10**6]), 5) == []
     assert sumblr(small_state, np.array([10**6]), 5) == []
+
+
+def test_tfidf_index_follows_ingest_at_same_t(tiny_stream, tiny_queries):
+    """A second bucket at the same t changes A_t, so the memoised TF-IDF
+    index must be rebuilt, not reused."""
+    els = build_elements(tiny_stream)
+    t = int(tiny_stream.t_end)
+    kw = tiny_queries[0].keywords
+
+    def fresh():
+        return SIRStream(T=TINY_T, L=TINY_L, lam=AMINER.lam, eta=AMINER.eta)
+
+    whole = fresh()
+    whole.ingest_bucket(els, t)
+    expected = tfidf_topk(whole, kw, 5)
+    split = fresh()
+    half = len(els) // 2
+    split.ingest_bucket(els[:half], t)
+    tfidf_topk(split, kw, 5)  # memoises the half-stream index
+    split.ingest_bucket(els[half:], t)
+    assert split.window.active == whole.window.active
+    assert expected and tfidf_topk(split, kw, 5) == expected

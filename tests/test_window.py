@@ -1,18 +1,20 @@
 """Active-window semantics (Section 3.1 definitions + Algorithm 1).
 
-W_t membership, A_t = W_t ∪ referred-parents, t_e bookkeeping, child
-expiry shrinking I_t(e), score refresh on reference arrival/expiry, and
-re-activation of expired-but-referred elements — checked against
-definition-level recomputation at every bucket of a replayed stream.
+W_t membership, A_t = W_t ∪ referred-parents, expiry at the last
+reference, child expiry shrinking I_t(e), score refresh on reference
+arrival/expiry, re-activation of expired-but-referred elements, the
+arrival-order contract, and window state that holds no key for an
+element without in-window children — checked against definition-level
+recomputation at every bucket of a replayed stream.
 """
 import numpy as np
 import pytest
 
 from repro.core import ActiveWindow, SIRStream, build_elements, make_element
 from repro.core.scoring import influence_set_score, semantic_set_score
-from repro.corpus import AMINER, generate_stream
+from repro.corpus import AMINER, TWITTER, generate_stream
 
-from stream_fixtures import TINY, TINY_T, TINY_L
+from stream_fixtures import SMALL_T, SMALL_L, TINY, TINY_T, TINY_L
 
 LAM, ETA = AMINER.lam, AMINER.eta
 
@@ -140,6 +142,7 @@ def test_child_expiry_shrinks_influence(mini_phi):
 
 
 def test_t_e_is_last_reference_time(mini_phi):
+    """e0 stays in A_t until its last referrer (e2, ts 5) leaves W_t."""
     els = _mini_elements(
         mini_phi,
         [
@@ -150,7 +153,54 @@ def test_t_e_is_last_reference_time(mini_phi):
     )
     w = ActiveWindow(T=10, lam=0.5, eta=2.0)
     w.ingest(els, 5)
-    assert w.t_e[0] == 5  # last referred at e2.ts
+    w.ingest([], 14)  # W_14 = [5, 14] still holds e2
+    assert 0 in w.active
+    assert [c.eid for c in w.children_of(0)] == [2]
+    w.ingest([], 15)
+    assert 0 not in w.active
+
+
+@pytest.mark.parametrize(
+    "earlier, bad, t",
+    [
+        ([], [(0, 5), (1, 3)], 10),  # older than the previous one in its bucket
+        ([(0, 5)], [(1, 3)], 20),  # older than one in an earlier bucket
+        ([], [(0, 5), (1, 12)], 10),  # ts > t
+    ],
+    ids=["same-bucket", "earlier-bucket", "after-t"],
+)
+def test_out_of_order_arrival_raises(mini_phi, earlier, bad, t):
+    """The W_t queue needs arrivals in ts order, each with ts ≤ t; a bad
+    bucket is rejected whole."""
+    def plain(pairs):
+        return _mini_elements(mini_phi, [(e, ts, [0], ([0], [1.0]), []) for e, ts in pairs])
+
+    w = ActiveWindow(T=100, lam=0.5, eta=2.0)
+    w.ingest(plain(earlier), 10)
+    before = (w.t, set(w.store))
+    with pytest.raises(ValueError):
+        w.ingest(plain(bad), t)
+    assert (w.t, set(w.store)) == before
+
+
+def test_state_keys_bounded_and_chsum_exact(small_stream):
+    """After every bucket, ``children``/``chsum`` are keyed on exactly the
+    elements with I_t(e) ≠ ∅, and each maintained Σ p_i(c) matches a
+    recomputation from I_t without drift below zero."""
+    st = SIRStream(T=SMALL_T, L=SMALL_L, lam=TWITTER.lam, eta=TWITTER.eta)
+    st.load(build_elements(small_stream))
+    w = st.window
+    t_end = ((small_stream.t_end + SMALL_L - 1) // SMALL_L) * SMALL_L
+    for b in range(SMALL_L, t_end + 1, SMALL_L):
+        st.advance_to(b)
+        in_w = [c for c in range(small_stream.n) if b - SMALL_T + 1 <= small_stream.ts[c] <= b]
+        referred = {int(p) for c in in_w for p in small_stream.refs[c]}
+        assert set(w.children) == set(w.chsum) == referred, f"t={b}"
+        for p, cs in w.chsum.items():
+            kids = w.children_of(p)
+            for i in w.store[p].tp:
+                assert abs(cs.get(i, 0.0) - sum(c.tp.get(i, 0.0) for c in kids)) <= 1e-12
+            assert all(v >= 0.0 for v in cs.values()), f"t={b} p={p}"
 
 
 def test_monotone_time_enforced(mini_phi):
