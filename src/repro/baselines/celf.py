@@ -25,13 +25,13 @@ def celf(state: SIRStream, query, k: int) -> QueryResult:
     """
     topics, weights = parse_query(query, k)
     w = state.window
-    cov = CoverageState(w, topics, weights, state.lam, state.eta)
+    cov = CoverageState(w, topics, weights)
     n_eval = 0
     # Index-less: singleton scores are computed from raw element data,
     # which is the O(l·d)-per-element cost the paper charges CELF with.
     heap: list[tuple[float, int, int]] = []
     for eid in w.active:
-        d = singleton_delta(w.store[eid], w, topics, weights, state.lam, state.eta)
+        d = singleton_delta(w.store[eid], w, topics, weights)
         n_eval += 1
         if d > 0:
             heap.append((-d, eid, 0))

@@ -20,11 +20,11 @@ def sieve_streaming(state: SIRStream, query, k: int, eps: float = 0.1) -> QueryR
     Δ(e|S_v) ≥ (v/2 − f(S_v)) / (k − |S_v|)."""
     topics, weights = parse_query(query, k, eps)
     w = state.window
-    phi = Phi(k, eps, lambda: CoverageState(w, topics, weights, state.lam, state.eta))
+    phi = Phi(k, eps, lambda: CoverageState(w, topics, weights))
     n_eval = 0
     for eid in sorted(w.active):  # arbitrary but deterministic order
         e = w.store[eid]
-        d = singleton_delta(e, w, topics, weights, state.lam, state.eta)
+        d = singleton_delta(e, w, topics, weights)
         n_eval += 1
         if d <= 0:
             continue

@@ -22,7 +22,7 @@ def topk_representative(state: SIRStream, query, k: int) -> QueryResult:
     """Threshold-pruned top-k by δ(e,x) over the ranked lists."""
     topics, weights = parse_query(query, k)
     w = state.window
-    trav = Traversal(state.rl, topics, weights)
+    trav = Traversal(w.rl, topics, weights)
     best: list[tuple[float, int]] = []  # min-heap of (δ, eid), size ≤ k
     n_eval = 0
     while (eid := trav.next_above(best[0][0] if len(best) == k else 0.0)) is not None:
@@ -33,7 +33,7 @@ def topk_representative(state: SIRStream, query, k: int) -> QueryResult:
         elif d > best[0][0]:
             heapq.heapreplace(best, (d, eid))
     # Report the true set score f(S,x) so quality is comparable
-    cov = CoverageState(w, topics, weights, state.lam, state.eta)
+    cov = CoverageState(w, topics, weights)
     for _, eid in sorted(best, reverse=True):
         cov.add(w.store[eid])
     return QueryResult.of(cov, n_eval, trav.n_retrieved)

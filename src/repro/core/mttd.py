@@ -27,8 +27,8 @@ def mttd(state: SIRStream, query, k: int, eps: float = 0.1) -> QueryResult:
     """Process k-SIR query ``query`` (.topics/.weights) over ``state``."""
     topics, weights = parse_query(query, k, eps)
     w = state.window
-    trav = Traversal(state.rl, topics, weights)
-    cov = CoverageState(w, topics, weights, state.lam, state.eta)
+    trav = Traversal(w.rl, topics, weights)
+    cov = CoverageState(w, topics, weights)
     buf: list[tuple[float, int]] = []  # (−Δ_e, eid), Δ_e a stale upper bound
     tau = trav.upper_bound()
     tau_term = 0.0

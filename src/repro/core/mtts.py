@@ -24,8 +24,8 @@ def mtts(state: SIRStream, query, k: int, eps: float = 0.1) -> QueryResult:
     """Process k-SIR query ``query`` (.topics/.weights) over ``state``."""
     topics, weights = parse_query(query, k, eps)
     w = state.window
-    trav = Traversal(state.rl, topics, weights)
-    phi = Phi(k, eps, lambda: CoverageState(w, topics, weights, state.lam, state.eta))
+    trav = Traversal(w.rl, topics, weights)
+    phi = Phi(k, eps, lambda: CoverageState(w, topics, weights))
     th = 0.0
     n_eval = 0
     while (eid := trav.next_above(th)) is not None:

@@ -5,7 +5,7 @@ Representative) takes a query vector x (``.topics``/``.weights``), a
 result size k and — where it thresholds — an accuracy ε, and returns a
 :class:`QueryResult`.  :func:`parse_query` checks that contract once:
 k ≥ 1, 0 < ε < 1, and x a finite non-negative vector aligned with its
-topics.  :class:`Phi` is the OPT-guess set Φ = {(1+ε)^j} of
+distinct topic ids.  :class:`Phi` is the OPT-guess set Φ = {(1+ε)^j} of
 Badanidiyuru et al., *Streaming submodular maximization* (KDD'14), that
 MTTS and SieveStreaming both sieve over.
 """
@@ -54,6 +54,8 @@ def parse_query(query, k: int, eps: float | None = None) -> tuple[list[int], lis
     weights = [float(x) for x in query.weights]
     if len(topics) != len(weights):
         raise ValueError(f"{len(topics)} topics but {len(weights)} weights")
+    if len(set(topics)) != len(topics):
+        raise ValueError(f"topic ids must be distinct, got {topics}")
     if not all(math.isfinite(x) and x >= 0.0 for x in weights):
         raise ValueError(f"weights must be finite and ≥ 0, got {weights}")
     return topics, weights

@@ -2,10 +2,11 @@
 
 ``RankedLists`` keeps, for every topic θ_i, the tuples ⟨δ_i(e), e⟩ of
 active elements sorted in descending order of the topic-wise
-representativeness score δ_i(e) = f_i({e}).  ``Traversal`` implements
-the two access operations the query algorithms need — ``RL_i.first`` and
-``RL_i.next`` — with the paper's cross-list "visited" marking so each
-element is retrieved at most once per query.
+representativeness score δ_i(e) = f_i({e}).  The lists keep no other
+copy of δ: it lives only in ``ActiveWindow.delta``, their one writer.
+``Traversal`` implements the two access operations the query algorithms
+need — ``RL_i.first`` and ``RL_i.next`` — with the paper's cross-list
+"visited" marking so each element is retrieved at most once per query.
 """
 from __future__ import annotations
 
@@ -21,45 +22,26 @@ class RankedLists:
     """Sorted per-topic lists of (−δ_i(e), eid), maintained incrementally.
 
     Keys are negated scores so Python's ascending ``bisect`` yields
-    descending-score order; ``eid`` breaks ties deterministically.
+    descending-score order; ``eid`` breaks ties deterministically.  The
+    caller passes a tuple's previous score to find it again.
     """
 
     def __init__(self) -> None:
         self.lists: dict[int, list[tuple[float, int]]] = {}
-        self._entry: dict[tuple[int, int], tuple[float, int]] = {}
 
-    def upsert(self, topic: int, eid: int, delta: float) -> None:
-        """Insert or reposition the tuple for ``eid`` on ``topic``."""
-        key = (-delta, eid)
-        old = self._entry.get((topic, eid))
+    def upsert(self, topic: int, eid: int, delta: float, old: float | None = None) -> None:
+        """Insert ⟨delta, eid⟩ into RL_topic, replacing ⟨old, eid⟩ if given."""
         lst = self.lists.setdefault(topic, [])
         if old is not None:
-            if old == key:
+            if old == delta:
                 return
-            idx = bisect.bisect_left(lst, old)
-            # old key is guaranteed present at idx
-            lst.pop(idx)
-        bisect.insort(lst, key)
-        self._entry[(topic, eid)] = key
+            lst.pop(bisect.bisect_left(lst, (-old, eid)))
+        bisect.insort(lst, (-delta, eid))
 
-    def remove(self, topic: int, eid: int) -> None:
-        old = self._entry.pop((topic, eid), None)
-        if old is None:
-            return
+    def remove(self, topic: int, eid: int, delta: float) -> None:
+        """Delete the tuple ⟨delta, eid⟩ from RL_topic (Alg. 1, lines 12–13)."""
         lst = self.lists[topic]
-        lst.pop(bisect.bisect_left(lst, old))
-
-    def remove_element(self, eid: int, topics: Iterable[int]) -> None:
-        """Delete the tuples of an expired element (Alg. 1, lines 12–13)."""
-        for i in topics:
-            self.remove(i, eid)
-
-    def score(self, topic: int, eid: int) -> float | None:
-        key = self._entry.get((topic, eid))
-        return None if key is None else -key[0]
-
-    def size(self, topic: int) -> int:
-        return len(self.lists.get(topic, ()))
+        lst.pop(bisect.bisect_left(lst, (-delta, eid)))
 
     def items(self, topic: int) -> list[tuple[int, float]]:
         """(eid, δ) pairs in descending-δ order — for tests/inspection."""
@@ -133,6 +115,3 @@ class Traversal:
             return None
         popped = self.pop_best()
         return None if popped is None else popped[0]
-
-    def exhausted(self) -> bool:
-        return all(self.head(i) is None for i in self.topics)

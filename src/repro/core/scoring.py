@@ -6,7 +6,9 @@ I_{i,t} (probabilistic coverage over in-window references, Eq. 4), the
 combined scoring function f (Eqs. 1–2), and an incremental
 :class:`CoverageState` that evaluates marginal gains Δ(e|S) in
 O(|V_e| + |I_t(e)|) per queried topic — the evaluation primitive shared
-by MTTS, MTTD, CELF, and SieveStreaming.
+by MTTS, MTTD, CELF, and SieveStreaming.  The incremental scorers read
+λ and (1−λ)/η from their window context (``ActiveWindow.lam``/``c_inf``);
+only the from-scratch references below take λ and η as arguments.
 
 All logs are natural logs; verified against the paper's worked
 Example 1 (σ_2(w_9,e_2)=0.15 etc.) in ``tests/test_paper_examples.py``.
@@ -101,7 +103,12 @@ def build_elements(stream) -> list[Element]:
 
 
 class WindowContext(Protocol):
-    """What the scorer needs from the stream state: I_t(e) membership."""
+    """What the scorer needs from the stream state: I_t(e) membership and
+    the scoring constants λ (``lam``) and (1−λ)/η (``c_inf``), which the
+    window computes once."""
+
+    lam: float
+    c_inf: float
 
     def children_of(self, eid: int) -> Iterable[Element]:
         """Active in-window children of ``eid`` (the set I_t(e))."""
@@ -120,17 +127,10 @@ class CoverageState:
 
     __slots__ = ("ctx", "lam", "c_inf", "xw", "wordcov", "remprob", "S", "value")
 
-    def __init__(
-        self,
-        ctx: WindowContext,
-        topics: Iterable[int],
-        weights: Iterable[float],
-        lam: float,
-        eta: float,
-    ) -> None:
+    def __init__(self, ctx: WindowContext, topics: Iterable[int], weights: Iterable[float]) -> None:
         self.ctx = ctx
-        self.lam = float(lam)
-        self.c_inf = (1.0 - lam) / eta
+        self.lam = ctx.lam
+        self.c_inf = ctx.c_inf
         self.xw = {int(i): float(x) for i, x in zip(topics, weights) if x > 0}
         self.wordcov: dict[int, dict[int, float]] = {i: {} for i in self.xw}
         self.remprob: dict[tuple[int, int], float] = {}
@@ -184,21 +184,16 @@ class CoverageState:
 
 
 def singleton_delta(
-    e: Element,
-    ctx: WindowContext,
-    topics: Iterable[int],
-    weights: Iterable[float],
-    lam: float,
-    eta: float,
+    e: Element, ctx: WindowContext, topics: Iterable[int], weights: Iterable[float]
 ) -> float:
     """δ(e, x) computed from raw element data in O(l·d).
 
     This is the evaluation the index-less baselines (CELF,
     SieveStreaming) must perform for *every* active element — the cost
     the ranked lists exist to avoid.  MTTS/MTTD instead read the
-    maintained δ_i(e) in O(d).
+    maintained δ_i(e) in O(d).  λ and (1−λ)/η are read from ``ctx``.
     """
-    c_inf = (1.0 - lam) / eta
+    lam, c_inf = ctx.lam, ctx.c_inf
     total = 0.0
     children = None
     for i, x in zip(topics, weights):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import time
 from typing import Iterable, Sequence
 
-from repro.core.ranked_lists import RankedLists
 from repro.core.scoring import Element
 from repro.core.window import ActiveWindow
 
@@ -28,8 +27,8 @@ class SIRStream:
 
     def __init__(self, T: int, L: int, lam: float, eta: float):
         self.T, self.L = int(T), int(L)
-        self.rl = RankedLists()
-        self.window = ActiveWindow(T, lam, eta, self.rl)
+        self.window = ActiveWindow(T, lam, eta)
+        self.rl = self.window.rl
         self.lam, self.eta = float(lam), float(eta)
         self._pending: list[Element] = []
         self._pos = 0

@@ -8,8 +8,11 @@
   (so singleton influence I_{i,t}(e) = p_i(e)·Σ_{c∈I_t(e)} p_i(c) is O(1)),
   kept only while I_t(e) ≠ ∅,
 * the active set A_t = W_t ∪ {e | I_t(e) ≠ ∅} (W_t plus referred parents),
-* per-element topic-wise scores δ_i(e) = λ·R_i(e) + (1−λ)/η·I_{i,t}(e),
-  pushed into the ranked lists whenever they change.
+* per-element topic-wise scores δ_i(e) = λ·R_i(e) + (1−λ)/η·I_{i,t}(e)
+  in ``delta``, their only copy, pushed into the window's own ranked
+  lists whenever they change (the lists find a tuple by its old δ here),
+* the scoring constants λ and (1−λ)/η (``lam``, ``c_inf``), which the
+  query-time scorers read from the window rather than recompute.
 
 Sliding to t pops the queue while ts ≤ t−T, unlinks those elements from
 their parents and drops from A_t whatever has left W_t with no child left.
@@ -34,11 +37,11 @@ __all__ = ["ActiveWindow"]
 class ActiveWindow:
     """Sliding-window state over a social stream (one instance per stream)."""
 
-    def __init__(self, T: int, lam: float, eta: float, rl: RankedLists | None = None):
+    def __init__(self, T: int, lam: float, eta: float):
         self.T = int(T)
         self.lam = float(lam)
         self.c_inf = (1.0 - lam) / eta
-        self.rl = rl if rl is not None else RankedLists()
+        self.rl = RankedLists()
         self.t = 0
         self.store: dict[int, Element] = {}
         self.active: set[int] = set()
@@ -56,9 +59,6 @@ class ActiveWindow:
         """I_t(eid): active in-window children (the scorer's context)."""
         return [self.store[c] for c in self.children.get(eid, ())]
 
-    def delta_of(self, eid: int) -> dict[int, float]:
-        return self.delta.get(eid, {})
-
     def delta_x(self, eid: int, topics, weights) -> float:
         """δ(e, x) = Σ_i x_i·δ_i(e) for a query vector."""
         d = self.delta.get(eid)
@@ -73,15 +73,20 @@ class ActiveWindow:
     # -- maintenance -----------------------------------------------------
     def ingest(self, elements: Iterable[Element], t: int) -> None:
         """Apply bucket B_t and slide to time t.  ``ValueError``, state
-        untouched, if t goes back or a ts is < the last arrival's or > t."""
+        untouched, if t goes back, a ts is < the last arrival's or > t, or
+        an eid was ingested before (a replay would double-count its links).
+        The eid check reads ``store``: evicting from it must keep it."""
         if t < self.t:
             raise ValueError("time must be monotone")
         elements = list(elements)
-        last = self._last_ts
+        last, seen = self._last_ts, set()
         for e in elements:
             if not last <= e.ts <= t:
                 raise ValueError(f"element {e.eid}: ts {e.ts} not in [{last}, {t}]")
+            if e.eid in self.store or e.eid in seen:
+                raise ValueError(f"element {e.eid} was already ingested")
             last = e.ts
+            seen.add(e.eid)
         self._last_ts = last
         dirty: set[int] = set()
         for e in elements:
@@ -113,7 +118,7 @@ class ActiveWindow:
         while self._window and self._window[0][0].ts <= cut:
             e, linked = self._window.popleft()
             if e.eid not in self.children:
-                self._drop(e, dirty)
+                self._drop(e.eid, dirty)
             for p in linked:
                 kids = self.children[p]
                 kids.popleft()  # the front is e: children leave in arrival order
@@ -127,22 +132,23 @@ class ActiveWindow:
                 else:
                     # p arrived before e, so it has left W_t too
                     del self.children[p], self.chsum[p]
-                    self._drop(self.store[p], dirty)
+                    self._drop(p, dirty)
 
-    def _drop(self, e: Element, dirty: set[int]) -> None:
-        """Remove e from A_t and its tuples from the ranked lists."""
-        self.active.discard(e.eid)
-        self.rl.remove_element(e.eid, e.tp.keys())
-        self.delta.pop(e.eid, None)
-        dirty.discard(e.eid)
+    def _drop(self, eid: int, dirty: set[int]) -> None:
+        """Remove eid from A_t and its δ tuples from the ranked lists."""
+        self.active.discard(eid)
+        for i, d in self.delta.pop(eid, {}).items():
+            self.rl.remove(i, eid, d)
+        dirty.discard(eid)
 
     def _refresh(self, eid: int) -> None:
         """Recompute δ_i(eid) for its topics and reposition in RL_i."""
         e = self.store[eid]
         cs = self.chsum.get(eid, {})
+        old = self.delta.get(eid, {})
         d: dict[int, float] = {}
         for i, pe in e.tp.items():
             inf = pe * max(cs.get(i, 0.0), 0.0)
             d[i] = self.lam * e.R[i] + self.c_inf * inf
-            self.rl.upsert(i, eid, d[i])
+            self.rl.upsert(i, eid, d[i], old.get(i))
         self.delta[eid] = d

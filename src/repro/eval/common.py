@@ -66,7 +66,11 @@ def effectiveness_metrics(
     results: pd.DataFrame,
     k: int,
 ) -> tuple[pd.DataFrame, pd.DataFrame]:
-    """(coverage, influence) per (qid, method) via the Catalyst pipelines."""
+    """(coverage, influence) per (qid, method) via the Catalyst pipelines.
+
+    Every (qid, method) pair gets a row: a method that returned no
+    element for a query scores 0 on both.
+    """
     t = spark_tables(spark, stream)
     active = spark.createDataFrame(
         pd.DataFrame({"eid": sorted(state.window.active)})
@@ -84,4 +88,9 @@ def effectiveness_metrics(
     inf = influence_metric_df(
         t["elems"], t["refs"], active, results_df, state.t, state.T, k
     ).toPandas()
+    base = pd.MultiIndex.from_product(
+        [range(len(queries)), METHODS], names=["qid", "method"]
+    ).to_frame(index=False)
+    cov = base.merge(cov, on=["qid", "method"], how="left").fillna({"coverage": 0.0})
+    inf = base.merge(inf, on=["qid", "method"], how="left").fillna({"influence": 0.0})
     return cov, inf

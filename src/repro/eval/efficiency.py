@@ -123,10 +123,6 @@ def sweep_scalability(
     n_elements: int,
     z_grid: tuple[int, ...] = (50, 150, 250),
     T_grid: tuple[int, ...] = (360, 720, 1440, 1800),
-    z_default: int = 50,
-    T_default: int = 1440,
-    L: int = 15,
-    duration: int = 4320,
     n_queries: int = 15,
     seed: int = 0,
 ) -> pd.DataFrame:
@@ -134,20 +130,21 @@ def sweep_scalability(
 
     Regenerates the stream per grid point (the paper retrains a topic
     model per z), replays it, and measures CELF/MTTS/MTTD query times
-    plus per-element maintenance cost.
+    plus per-element maintenance cost.  The axis not swept, L and the
+    stream span are the ``DEFAULTS``.
     """
     from repro.corpus.generator import generate_queries, generate_stream
     from repro.eval.common import build_state
 
     rows = []
-    grid = [("z", z, T_default) for z in z_grid] + [
-        ("T", z_default, T) for T in T_grid
+    grid = [("z", z, DEFAULTS.T) for z in z_grid] + [
+        ("T", DEFAULTS.z, T) for T in T_grid
     ]
     for axis, z, T in grid:
         stream = generate_stream(
-            profile, n_elements=n_elements, z=z, duration=duration, seed=seed
+            profile, n_elements=n_elements, z=z, duration=DEFAULTS.duration, seed=seed
         )
-        state = build_state(stream, T, L)
+        state = build_state(stream, T, DEFAULTS.L)
         queries = generate_queries(stream, n_queries, seed=seed + 1, t_min=T)
         sub = bench_queries(
             state, queries, k=10, eps=0.1, algorithms=("CELF", "MTTS", "MTTD")

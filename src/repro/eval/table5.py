@@ -96,12 +96,6 @@ def table5_user_study(
     mean_rel = pd.DataFrame(rel_rows)
     cov = cov.merge(mean_rel, on=["qid", "method"], how="left").fillna({"mean_rel": 0.0})
     cov["coverage"] = cov["coverage"] * cov["mean_rel"]
-    # a method that returns an empty set for some query scores the minimum
-    base = pd.MultiIndex.from_product(
-        [range(len(queries)), METHODS], names=["qid", "method"]
-    ).to_frame(index=False)
-    cov = base.merge(cov, on=["qid", "method"], how="left").fillna({"coverage": 0.0})
-    inf = base.merge(inf, on=["qid", "method"], how="left").fillna({"influence": 0.0})
     rep = _scale_1_to_5(cov, "coverage").groupby("method")["score"].mean()
     imp = _scale_1_to_5(inf, "influence").groupby("method")["score"].mean()
     rows = []

@@ -30,11 +30,6 @@ def table6_quantitative(
     """One dataset's two Table-6 rows: mean coverage / influence per method."""
     results = run_methods(state, queries, k, stream_popularity=stream.popularity)
     cov, inf = effectiveness_metrics(spark, stream, state, queries, results, k)
-    base = pd.MultiIndex.from_product(
-        [range(len(queries)), METHODS], names=["qid", "method"]
-    ).to_frame(index=False)
-    cov = base.merge(cov, on=["qid", "method"], how="left").fillna({"coverage": 0.0})
-    inf = base.merge(inf, on=["qid", "method"], how="left").fillna({"influence": 0.0})
     cov_m = cov.groupby("method")["coverage"].mean()
     inf_m = inf.groupby("method")["influence"].mean()
     rows = []

@@ -95,7 +95,7 @@ def test_celf_equals_plain_greedy(tiny_state, tiny_queries):
     """CELF's lazy evaluation must return exactly the greedy solution."""
     for q in tiny_queries[:4]:
         w = tiny_state.window
-        cov = CoverageState(w, q.topics, q.weights, tiny_state.lam, tiny_state.eta)
+        cov = CoverageState(w, q.topics, q.weights)
         chosen = []
         for _ in range(3):
             best, best_g = None, 0.0
@@ -191,8 +191,13 @@ def test_eps_outside_unit_interval_raises(tiny_state, tiny_queries, alg, eps):
 
 @pytest.mark.parametrize(
     "topics, weights",
-    [([0, 1], [0.5, -0.5]), ([0, 1], [0.5, math.nan]), ([0, 1], [1.0])],
-    ids=["negative", "nan", "length_mismatch"],
+    [
+        ([0, 1], [0.5, -0.5]),
+        ([0, 1], [0.5, math.nan]),
+        ([0, 1], [1.0]),
+        ([0, 0], [0.5, 0.5]),
+    ],
+    ids=["negative", "nan", "length_mismatch", "duplicate_topic"],
 )
 @pytest.mark.parametrize("alg", ALL_ALGORITHMS, ids=_name)
 def test_invalid_weights_raise(tiny_state, alg, topics, weights):

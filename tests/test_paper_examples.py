@@ -119,8 +119,8 @@ def test_example4_initial_bounds(st8):
     w = st8.window
     # x1·δ1(e3) = 0.33, x2·δ2(e1) = 0.28 (paper's Figure 5)
     # paper rounds to 2 d.p. (0.33 / 0.28); exact values 0.3237 / 0.2799
-    assert 0.5 * w.delta_of(3)[0] == pytest.approx(0.33, abs=0.01)
-    assert 0.5 * w.delta_of(1)[1] == pytest.approx(0.28, abs=0.005)
+    assert 0.5 * w.delta[3][0] == pytest.approx(0.33, abs=0.01)
+    assert 0.5 * w.delta[1][1] == pytest.approx(0.28, abs=0.005)
     assert w.delta_x(3, [0, 1], [0.5, 0.5]) == pytest.approx(0.34, abs=0.005)
     assert w.delta_x(1, [0, 1], [0.5, 0.5]) == pytest.approx(0.31, abs=0.005)
 
@@ -159,7 +159,7 @@ def test_celf_matches_opt_here(st8):
 def test_incremental_equals_scratch(st8, combo):
     w = st8.window
     vec = Vec(0.5, 0.5)
-    cov = CoverageState(w, vec.topics, vec.weights, LAM, ETA)
+    cov = CoverageState(w, vec.topics, vec.weights)
     for eid in combo:
         cov.add(w.store[eid])
     children = {eid: w.children_of(eid) for eid in combo}

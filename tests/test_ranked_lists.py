@@ -32,11 +32,10 @@ def test_sorted_invariant_under_churn(ops):
     shadow: dict[tuple[int, int], float] = {}
     for op, topic, eid, d in ops:
         if op == "upsert":
-            rl.upsert(topic, eid, d)
+            rl.upsert(topic, eid, d, shadow.get((topic, eid)))
             shadow[(topic, eid)] = d
-        else:
-            rl.remove(topic, eid)
-            shadow.pop((topic, eid), None)
+        elif (topic, eid) in shadow:
+            rl.remove(topic, eid, shadow.pop((topic, eid)))
     for topic in range(4):
         got = rl.items(topic)
         expected = sorted(
@@ -56,23 +55,25 @@ def test_incremental_equals_rebuild_every_bucket():
         w = st_.window
         rebuilt = RankedLists()
         for eid in w.active:
-            for i, d in w.delta_of(eid).items():
+            for i, d in w.delta[eid].items():
                 rebuilt.upsert(i, eid, d)
         for i in set(rebuilt.lists) | set(st_.rl.lists):
             assert st_.rl.items(i) == rebuilt.items(i), f"t={b} topic={i}"
 
 
 def test_score_lookup():
+    """A tuple is found again by the old δ its caller passes in."""
     rl = RankedLists()
     rl.upsert(0, 1, 2.0)
     rl.upsert(0, 2, 3.0)
-    assert rl.score(0, 1) == 2.0
-    assert rl.score(0, 3) is None
-    rl.upsert(0, 1, 5.0)  # reposition
+    assert rl.items(0) == [(2, 3.0), (1, 2.0)]
+    assert rl.items(3) == []
+    rl.upsert(0, 1, 5.0, old=2.0)  # reposition
     assert rl.items(0) == [(1, 5.0), (2, 3.0)]
-    rl.remove(0, 1)
-    assert rl.score(0, 1) is None
-    assert rl.size(0) == 1
+    rl.upsert(0, 2, 3.0, old=3.0)  # unchanged: left in place
+    assert rl.items(0) == [(1, 5.0), (2, 3.0)]
+    rl.remove(0, 1, 5.0)
+    assert rl.items(0) == [(2, 3.0)]
 
 
 def test_remove_element_across_topics():
@@ -80,8 +81,9 @@ def test_remove_element_across_topics():
     rl.upsert(0, 7, 1.0)
     rl.upsert(1, 7, 2.0)
     rl.upsert(1, 8, 1.5)
-    rl.remove_element(7, [0, 1])
-    assert rl.size(0) == 0
+    for topic, d in {0: 1.0, 1: 2.0}.items():
+        rl.remove(topic, 7, d)
+    assert rl.items(0) == []
     assert rl.items(1) == [(8, 1.5)]
 
 
@@ -103,7 +105,6 @@ def test_traversal_pop_order_single_topic():
     assert tr.pop_best() == (2, 0)
     assert tr.pop_best() == (3, 0)
     assert tr.pop_best() is None
-    assert tr.exhausted()
 
 
 def test_traversal_weighted_merge():

@@ -106,7 +106,7 @@ def test_coverage_state_matches_scratch(tiny_state, tiny_queries, pool, data):
     w = tiny_state.window
     q = data.draw(st.sampled_from(tiny_queries))
     sub = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8, unique=True))
-    cov = CoverageState(w, q.topics, q.weights, LAM, ETA)
+    cov = CoverageState(w, q.topics, q.weights)
     for eid in sub:
         cov.add(w.store[eid])
     scratch = f_set_score(
@@ -121,7 +121,7 @@ def test_gain_is_nonmutating(tiny_state, tiny_queries, pool, data):
     w = tiny_state.window
     q = data.draw(st.sampled_from(tiny_queries))
     a, b = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
-    cov = CoverageState(w, q.topics, q.weights, LAM, ETA)
+    cov = CoverageState(w, q.topics, q.weights)
     g1 = cov.gain(w.store[a])
     g2 = cov.gain(w.store[a])
     assert g1 == g2
@@ -129,7 +129,7 @@ def test_gain_is_nonmutating(tiny_state, tiny_queries, pool, data):
     assert added == pytest.approx(g1)
     if b != a:
         # marginal gain after adding a can only shrink (submodularity)
-        fresh = CoverageState(w, q.topics, q.weights, LAM, ETA)
+        fresh = CoverageState(w, q.topics, q.weights)
         assert cov.gain(w.store[b]) <= fresh.gain(w.store[b]) + 1e-12
 
 
@@ -140,7 +140,7 @@ def test_singleton_delta_matches_maintained(tiny_state, tiny_queries, pool, data
     w = tiny_state.window
     q = data.draw(st.sampled_from(tiny_queries))
     eid = data.draw(st.sampled_from(pool))
-    raw = singleton_delta(w.store[eid], w, q.topics, q.weights, LAM, ETA)
+    raw = singleton_delta(w.store[eid], w, q.topics, q.weights)
     maintained = w.delta_x(eid, q.topics, q.weights)
     assert raw == pytest.approx(maintained, rel=1e-9, abs=1e-12)
 
@@ -184,4 +184,4 @@ def test_delta_i_equals_f_i_singleton(tiny_state):
             expected = LAM * semantic_set_score([e], i) + (
                 1 - LAM
             ) / ETA * influence_set_score([e], i, ch)
-            assert w.delta_of(eid)[i] == pytest.approx(expected, rel=1e-9, abs=1e-12)
+            assert w.delta[eid][i] == pytest.approx(expected, rel=1e-9, abs=1e-12)

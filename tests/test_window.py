@@ -67,7 +67,7 @@ def test_delta_matches_definition_at_final_bucket(stream, tiny_state):
             expected = LAM * semantic_set_score([e], i) + (1 - LAM) / ETA * (
                 influence_set_score([e], i, ch)
             )
-            assert w.delta_of(eid)[i] == pytest.approx(expected, rel=1e-9, abs=1e-12)
+            assert w.delta[eid][i] == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
 def test_ranked_lists_contain_exactly_active_topics(tiny_state):
@@ -131,10 +131,10 @@ def test_child_expiry_shrinks_influence(mini_phi):
     )
     w = ActiveWindow(T=6, lam=0.5, eta=2.0)
     w.ingest(els, 4)
-    d_both = w.delta_of(0)[0]
+    d_both = w.delta[0][0]
     w.ingest([], 8)  # child e1 (ts=2) leaves W_8 = [3, 8]
     assert 0 in w.active  # e0 still referred by e2 at ts=4
-    d_one = w.delta_of(0)[0]
+    d_one = w.delta[0][0]
     assert d_one < d_both
     # semantic part only once e2 also leaves: at t=10, t_e(e0)=4 ≤ 10−6
     w.ingest([], 10)
@@ -166,12 +166,14 @@ def test_t_e_is_last_reference_time(mini_phi):
         ([], [(0, 5), (1, 3)], 10),  # older than the previous one in its bucket
         ([(0, 5)], [(1, 3)], 20),  # older than one in an earlier bucket
         ([], [(0, 5), (1, 12)], 10),  # ts > t
+        ([(0, 5)], [(0, 5)], 10),  # e0 again, same ts and t
+        ([], [(0, 5), (0, 5)], 10),  # e0 twice in one bucket
     ],
-    ids=["same-bucket", "earlier-bucket", "after-t"],
+    ids=["same-bucket", "earlier-bucket", "after-t", "replayed", "twice-in-bucket"],
 )
 def test_out_of_order_arrival_raises(mini_phi, earlier, bad, t):
-    """The W_t queue needs arrivals in ts order, each with ts ≤ t; a bad
-    bucket is rejected whole."""
+    """The W_t queue needs arrivals in ts order, each with ts ≤ t and an
+    eid not ingested before; a bad bucket is rejected whole."""
     def plain(pairs):
         return _mini_elements(mini_phi, [(e, ts, [0], ([0], [1.0]), []) for e, ts in pairs])
 
