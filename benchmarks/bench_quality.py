@@ -16,7 +16,7 @@ def test_quality_vs_celf(benchmark, fixture, request):
     stream, state = request.getfixturevalue(fixture)
     queries = request.getfixturevalue(fixture.replace("bench_", "") + "_queries")
     df = benchmark.pedantic(
-        lambda: bench_queries(state, queries, k=10, eps=0.1), rounds=1, iterations=1
+        lambda: bench_queries(state, queries), rounds=1, iterations=1
     )
     by = df.set_index("algorithm")
     assert by.loc["MTTD", "score_vs_celf"] >= 0.99
@@ -32,7 +32,7 @@ def test_quality_robust_in_eps(benchmark, bench_reddit, reddit_queries):
     """Paper: ≤5 %/1 % loss even at ε = 0.5 (MTTS/MTTD vs CELF)."""
     _, state = bench_reddit
     df = benchmark.pedantic(
-        lambda: sweep_epsilon(state, reddit_queries[:10], k=10, eps_grid=(0.1, 0.3, 0.5)),
+        lambda: sweep_epsilon(state, reddit_queries[:10], eps_grid=(0.1, 0.3, 0.5)),
         rounds=1,
         iterations=1,
     )

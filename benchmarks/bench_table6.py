@@ -10,15 +10,16 @@ import pytest
 
 from repro.corpus import generate_queries
 from repro.eval.common import METHODS
+from repro.eval.config import DEFAULTS
 from repro.eval.table6 import table6_quantitative
 
 
 @pytest.mark.parametrize("fixture", ["bench_aminer", "bench_reddit", "bench_twitter"])
 def test_table6(benchmark, fixture, request, spark):
     stream, state = request.getfixturevalue(fixture)
-    queries = generate_queries(stream, 40, seed=11, t_min=1440)
+    queries = generate_queries(stream, 40, seed=11, t_min=DEFAULTS.T)
     df = benchmark.pedantic(
-        lambda: table6_quantitative(spark, stream, state, queries, k=10),
+        lambda: table6_quantitative(spark, stream, state, queries),
         rounds=1,
         iterations=1,
     )

@@ -10,20 +10,18 @@ import pytest
 
 from repro.corpus import PROFILES, generate_queries, generate_stream
 from repro.eval.common import build_state
+from repro.eval.config import DEFAULTS
 
-BENCH = {
-    # per-profile: (n_elements, z, duration_minutes, T, L)
-    "aminer": (12_000, 50, 4320, 1440, 15),
-    "reddit": (30_000, 50, 4320, 1440, 15),
-    "twitter": (30_000, 50, 4320, 1440, 15),
-}
+# per-profile element counts; z, span, T and L are the Table-4 DEFAULTS
+BENCH = {"aminer": 12_000, "reddit": 30_000, "twitter": 30_000}
 
 
-def _make(name: str, seed: int = 0):
-    n, z, duration, T, L = BENCH[name]
-    stream = generate_stream(PROFILES[name], n_elements=n, z=z, duration=duration, seed=seed)
-    state = build_state(stream, T, L)
-    return stream, state
+def _make(name: str):
+    stream = generate_stream(
+        PROFILES[name], n_elements=BENCH[name], z=DEFAULTS.z,
+        duration=DEFAULTS.duration, seed=0,
+    )
+    return stream, build_state(stream, DEFAULTS.T, DEFAULTS.L)
 
 
 @pytest.fixture(scope="session")
@@ -44,16 +42,16 @@ def bench_twitter():
 @pytest.fixture(scope="session")
 def reddit_queries(bench_reddit):
     stream, _ = bench_reddit
-    return generate_queries(stream, 20, seed=3, t_min=1440)
+    return generate_queries(stream, 20, seed=3, t_min=DEFAULTS.T)
 
 
 @pytest.fixture(scope="session")
 def aminer_queries(bench_aminer):
     stream, _ = bench_aminer
-    return generate_queries(stream, 20, seed=3, t_min=1440)
+    return generate_queries(stream, 20, seed=3, t_min=DEFAULTS.T)
 
 
 @pytest.fixture(scope="session")
 def twitter_queries(bench_twitter):
     stream, _ = bench_twitter
-    return generate_queries(stream, 20, seed=3, t_min=1440)
+    return generate_queries(stream, 20, seed=3, t_min=DEFAULTS.T)

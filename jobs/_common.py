@@ -36,35 +36,29 @@ def parser(desc: str) -> argparse.ArgumentParser:
     p.add_argument("--datasets", nargs="+", default=["aminer", "reddit", "twitter"],
                    choices=list(PROFILES))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--z", type=int, default=DEFAULTS.z)
-    p.add_argument("--T", type=int, default=DEFAULTS.T)
-    p.add_argument("--L", type=int, default=DEFAULTS.L)
     return p
 
 
-def generate_for(name: str, args) -> "tuple":
-    """Generate profile ``name``'s stream at ``args.scale``; → (stream, T).
+def generate_for(name: str, args):
+    """Generate profile ``name``'s stream at ``args.scale``.
 
-    T is the window length to replay it with: ``args.T``, or half the
-    stream when the stream is no longer than that.
+    bench: the Table-4 z and stream span; test: 16 topics over a span of
+    4/3 of the window, so a full window is still replayed.
     """
-    cfg = DEFAULTS
-    n = (cfg.bench_n if args.scale == "bench" else cfg.test_n)[name]
-    duration = cfg.duration if args.scale == "bench" else max(4 * args.T // 3, 2 * args.L)
-    z = args.z if args.scale == "bench" else min(args.z, 16)
-    stream = generate_stream(
-        PROFILES[name], n_elements=n, z=z, duration=duration, seed=args.seed
-    )
-    return stream, args.T if duration > args.T else duration // 2
+    if args.scale == "bench":
+        n, z, duration = DEFAULTS.bench_n[name], DEFAULTS.z, DEFAULTS.duration
+    else:
+        n, z, duration = DEFAULTS.test_n[name], 16, 4 * DEFAULTS.T // 3
+    return generate_stream(PROFILES[name], n_elements=n, z=z, duration=duration, seed=args.seed)
 
 
 def stream_for(name: str, args) -> "tuple":
-    stream, T = generate_for(name, args)
-    return stream, build_state(stream, T, args.L)
+    stream = generate_for(name, args)
+    return stream, build_state(stream, DEFAULTS.T, DEFAULTS.L)
 
 
 def queries_for(stream, n: int, args):
-    return generate_queries(stream, n, seed=args.seed + 1, t_min=min(args.T, stream.t_end))
+    return generate_queries(stream, n, seed=args.seed + 1, t_min=DEFAULTS.T)
 
 
 def save(name: str, text: str) -> str:

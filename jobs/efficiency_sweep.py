@@ -8,8 +8,6 @@ claims recorded in EXPERIMENTS.md.
 import sys, os
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-import pandas as pd
-
 from _common import parser, queries_for, save, stream_for
 from repro.eval.efficiency import bench_queries, sweep_epsilon, sweep_k, update_time
 
@@ -27,7 +25,7 @@ def main() -> None:
             f"== {name}: n_active={state.window.n_active} t={state.t} "
             f"T={state.T} z={stream.model.z} ==\n"
         )
-        default = bench_queries(state, queries, k=10, eps=0.1)
+        default = bench_queries(state, queries)
         upd = update_time(state)
         body = (
             head
@@ -36,7 +34,7 @@ def main() -> None:
         )
         if args.full:
             body += "\n-- sweep eps (MTTS/MTTD vs CELF) --\n"
-            body += sweep_epsilon(state, queries, k=10).to_string(index=False)
+            body += sweep_epsilon(state, queries).to_string(index=False)
             body += "\n-- sweep k (all algorithms) --\n"
             body += sweep_k(state, queries).to_string(index=False)
             body += "\n"

@@ -1,6 +1,7 @@
 """Scalability sweeps over z and T (Figures 12–14).
 
-Regenerates a Reddit-profile stream per grid point, replays it, and
+Regenerates a Reddit-profile stream (``--datasets`` picks another,
+single profile) per point of the Table-4 z and T grids, replays it, and
 reports CELF/MTTS/MTTD query time plus ranked-list maintenance cost —
 the paper's claims: query time falls with z (fewer elements per topic),
 rises with T (more active elements); update time rises with both but
@@ -16,11 +17,12 @@ from repro.eval.efficiency import sweep_scalability
 
 def main() -> None:
     p = parser(__doc__)
-    p.add_argument("--n-elements", type=int, default=25_000)
+    p.set_defaults(datasets=["reddit"])
     args = p.parse_args()
-    name = args.datasets[0] if args.datasets else "reddit"
-    n = args.n_elements if args.scale == "bench" else 3_000
-    df = sweep_scalability(PROFILES[name], n_elements=n, seed=args.seed)
+    if len(args.datasets) > 1:
+        p.error("sweeps one dataset; pass a single --datasets value")
+    n = 25_000 if args.scale == "bench" else 3_000
+    df = sweep_scalability(PROFILES[args.datasets[0]], n_elements=n, seed=args.seed)
     text = df.to_string(index=False)
     print(text)
     print("saved:", save(f"scalability_{args.scale}.txt", text + "\n"))

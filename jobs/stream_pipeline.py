@@ -10,29 +10,29 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from _common import generate_for, parser, queries_for, save, session
 from repro.core import mttd, mtts
+from repro.eval.config import DEFAULTS
 from repro.spark.streaming import run_streaming, write_buckets
 
 
 def main() -> None:
-    p = parser(__doc__)
-    p.add_argument("--n-queries", type=int, default=10)
-    args = p.parse_args()
+    args = parser(__doc__).parse_args()
     spark = session("stream-pipeline")
     name = args.datasets[0]
-    stream, T = generate_for(name, args)
+    stream = generate_for(name, args)
+    T, L = DEFAULTS.T, DEFAULTS.L
     with tempfile.TemporaryDirectory() as tmp:
-        n_buckets = write_buckets(stream, tmp, args.L)
+        n_buckets = write_buckets(stream, tmp, L)
         state = run_streaming(
-            spark, tmp, stream.model.phi, T, args.L, stream.profile.lam, stream.profile.eta
+            spark, tmp, stream.model.phi, T, L, stream.profile.lam, stream.profile.eta
         )
     lines = [
         f"dataset={name} buckets={n_buckets} t={state.t} "
         f"n_active={state.window.n_active} "
         f"update_us_per_elem={1e6 * state.update_seconds / max(1, state.n_ingested):.1f}"
     ]
-    for q in queries_for(stream, args.n_queries, args):
-        a = mtts(state, q, 10)
-        b = mttd(state, q, 10)
+    for q in queries_for(stream, 10, args):
+        a = mtts(state, q, DEFAULTS.k)
+        b = mttd(state, q, DEFAULTS.k)
         lines.append(
             f"q@{q.ts} d={len(q.topics)}: mtts={a.value:.4f} ({a.n_evaluated} ev) "
             f"mttd={b.value:.4f} ({b.n_evaluated} ev)"

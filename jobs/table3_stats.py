@@ -13,7 +13,7 @@ from repro.eval.table3 import table3_frame
 def main() -> None:
     args = parser(__doc__).parse_args()
     spark = session("table3")
-    streams = [generate_for(name, args)[0] for name in args.datasets]
+    streams = [generate_for(name, args) for name in args.datasets]
     df = table3_frame(spark, streams)
     text = df.to_string(index=False)
     print(text)

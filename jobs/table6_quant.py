@@ -23,7 +23,7 @@ def main() -> None:
     for name in args.datasets:
         stream, state = stream_for(name, args)
         queries = queries_for(stream, args.n_queries, args)
-        frames.append(table6_quantitative(spark, stream, state, queries, k=10))
+        frames.append(table6_quantitative(spark, stream, state, queries))
     df = pd.concat(frames, ignore_index=True)
     text = df.to_string(index=False)
     print(text)

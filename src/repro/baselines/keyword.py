@@ -22,6 +22,11 @@ from repro.core.state import SIRStream
 
 __all__ = ["tfidf_topk", "div_topk"]
 
+#: DIV's relevance/diversity trade-off λ, following [9]
+_DIV_LAM = 0.3
+#: most recent keyword-matching elements DIV's greedy considers
+_DIV_CANDIDATES = 200
+
 
 # state → ((t, n_ingested), index); a weak key is the state itself, so a
 # new state that reuses a dead one's id() never hits its index
@@ -84,18 +89,12 @@ def tfidf_topk(state: SIRStream, keywords: np.ndarray, k: int) -> list[int]:
     return [-neid for s, neid in scored[:k] if s > 0]
 
 
-def div_topk(
-    state: SIRStream,
-    keywords: np.ndarray,
-    k: int,
-    lam: float = 0.3,
-    n_candidates: int = 200,
-) -> list[int]:
+def div_topk(state: SIRStream, keywords: np.ndarray, k: int) -> list[int]:
     """Greedy diversity-aware top-k (λ = 0.3 following [9]).
 
     Candidates follow the publish/subscribe semantics of [9]: every
     active element containing at least one query keyword (most recent
-    ``n_candidates`` if more match).  The greedy then trades relevance
+    ``_DIV_CANDIDATES`` if more match).  The greedy then trades relevance
     against pairwise diversity within that pool — so, as the paper
     observes of DIV, marginally-matching off-topic elements can enter
     the result.
@@ -109,7 +108,7 @@ def div_topk(
         eid for eid in rel
         if rel[eid] > 0 and kw.intersection(int(x) for x in w.store[eid].words)
     ]
-    cand = sorted(cand, key=lambda eid: (-w.store[eid].ts, eid))[:n_candidates]
+    cand = sorted(cand, key=lambda eid: (-w.store[eid].ts, eid))[:_DIV_CANDIDATES]
     cand.sort()
     S: list[int] = []
     sum_rel = 0.0
@@ -121,7 +120,7 @@ def div_topk(
             dis = sum(1.0 - _cos(vecs[eid], vecs[s]) for s in S)
             m = len(S) + 1
             div = (sum_dis + dis) * 2.0 / (m * (m - 1)) if m > 1 else 0.0
-            obj = lam * (sum_rel + rel[eid]) + (1.0 - lam) * div
+            obj = _DIV_LAM * (sum_rel + rel[eid]) + (1.0 - _DIV_LAM) * div
             if obj > best_obj:
                 best, best_obj, best_dis = eid, obj, dis
         if best is None or best_obj <= best_val:

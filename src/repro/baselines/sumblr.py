@@ -23,13 +23,13 @@ from repro.core.state import SIRStream
 __all__ = ["sumblr"]
 
 
-def _kmeans(xs: np.ndarray, k: int, seed: int, iters: int = 20) -> np.ndarray:
-    """Tiny deterministic k-means; returns cluster labels."""
-    g = np.random.default_rng(seed)
+def _kmeans(xs: np.ndarray, k: int) -> np.ndarray:
+    """Tiny deterministic k-means (seed 0, at most 20 rounds); returns cluster labels."""
+    g = np.random.default_rng(0)
     k = min(k, len(xs))
     centroids = xs[g.choice(len(xs), size=k, replace=False)]
     labels = np.zeros(len(xs), dtype=int)
-    for _ in range(iters):
+    for _ in range(20):
         d = ((xs[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new = d.argmin(axis=1)
         if (new == labels).all():
@@ -46,7 +46,6 @@ def sumblr(
     state: SIRStream,
     keywords: np.ndarray,
     k: int,
-    seed: int = 0,
     author_score: dict[int, float] | None = None,
 ) -> list[int]:
     """Keyword-filtered, cluster-based k-element summary of A_t.
@@ -70,7 +69,7 @@ def sumblr(
     for r, eid in enumerate(cands):
         for i, p in w.store[eid].tp.items():
             xs[r, i] = p
-    labels = _kmeans(xs, k, seed)
+    labels = _kmeans(xs, k)
     out: list[int] = []
     for c in np.unique(labels):
         rows = np.nonzero(labels == c)[0]

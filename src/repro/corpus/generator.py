@@ -32,6 +32,14 @@ __all__ = ["SocialStream", "Query", "generate_stream", "generate_queries"]
 #: size of the recency pool parents are drawn from
 _REF_POOL = 400
 
+#: fraction of tokens drawn uniformly from the whole vocabulary instead
+#: of from the element's topics.  Real corpora have exactly this
+#: messiness (polysemy, off-topic word reuse), and it is what makes
+#: plain keyword matching unreliable: an element can contain a query
+#: keyword without being about the query's topic, the failure mode the
+#: paper observes for the keyword-based baselines.
+_NOISE = 0.1
+
 
 @dataclass
 class SocialStream:
@@ -106,35 +114,17 @@ class Query:
 
 
 def generate_stream(
-    profile: StreamProfile,
-    *,
-    sf: float | None = None,
-    n_elements: int | None = None,
-    z: int = 50,
-    duration: int = 4320,
-    seed: int = 0,
-    model: TopicModel | None = None,
-    noise: float = 0.1,
+    profile: StreamProfile, *, n_elements: int, z: int, duration: int, seed: int
 ) -> SocialStream:
-    """Generate a stream for ``profile`` at scale ``sf`` (or exact size).
+    """Generate ``n_elements`` elements of ``profile`` over ``z`` topics.
 
-    ``duration`` is the stream span in minutes; the default (3 days)
-    gives ~180 window slides at the paper's default T = 24 h, L = 15 min.
-    ``noise`` is the fraction of tokens drawn uniformly from the whole
-    vocabulary instead of from the element's topics — real corpora have
-    exactly this messiness (polysemy, off-topic word reuse), and it is
-    what makes plain keyword matching unreliable: an element can contain
-    a query keyword without being about the query's topic, the failure
-    mode the paper observes for the keyword-based baselines.
+    ``duration`` is the stream span in minutes (3 days gives ~180 window
+    slides at the paper's default T = 24 h, L = 15 min).  The vocabulary
+    is the profile's, scaled by ``n_elements`` against its full size.
     """
-    if n_elements is None:
-        if sf is None:
-            raise ValueError("pass sf or n_elements")
-        n_elements = profile.n_elements(sf)
-    vocab = profile.vocab_size(sf if sf is not None else n_elements / profile.n_elements_base)
+    vocab = profile.vocab_size(n_elements / profile.n_elements_base)
     g = np.random.default_rng(seed)
-    if model is None:
-        model = TopicModel(z, vocab, seed=seed + 7)
+    model = TopicModel(z, vocab, seed=seed + 7)
 
     ts = np.sort(g.integers(1, duration + 1, n_elements)).astype(int)
 
@@ -172,9 +162,8 @@ def generate_stream(
     for i in np.unique(tok_topic_a):
         mask = tok_topic_a == i
         tok_word[mask] = g.choice(model.m, size=int(mask.sum()), p=model.phi[i])
-    if noise > 0:
-        noisy = g.random(len(tok_word)) < noise
-        tok_word[noisy] = g.integers(0, model.m, int(noisy.sum()))
+    noisy = g.random(len(tok_word)) < _NOISE
+    tok_word[noisy] = g.integers(0, model.m, int(noisy.sum()))
     docs: list[tuple[np.ndarray, np.ndarray]] = []
     order = np.argsort(tok_elem_a, kind="stable")
     bounds = np.searchsorted(tok_elem_a[order], np.arange(n_elements + 1))
@@ -216,16 +205,15 @@ def generate_queries(
     stream: SocialStream,
     n: int,
     *,
-    seed: int = 0,
-    k_words: tuple[int, int] = (1, 5),
-    t_min: int | None = None,
+    seed: int,
+    t_min: int,
 ) -> list[Query]:
     """Generate the paper's query workload (Section 5.1).
 
     Each query draws 1–5 words at random from the vocabulary, infers the
     query vector from the topic model, and is assigned a random
-    timestamp in ``[t_min, t_end]`` (``t_min`` defaults to 1; pass the
-    window length to only query a full window).
+    timestamp in ``[t_min, t_end]`` (pass the window length to only
+    query a full window).
 
     Words are drawn ∝ corpus frequency: the paper's vocabulary is the
     set of words its corpora actually use, so a uniform draw there still
@@ -234,7 +222,6 @@ def generate_queries(
     method would see empty candidate sets.
     """
     g = np.random.default_rng(seed + 101)
-    lo = t_min if t_min is not None else 1
     # corpus word-usage distribution (document frequency)
     freq = np.zeros(stream.model.m)
     for w, _ in stream.docs:
@@ -242,11 +229,11 @@ def generate_queries(
     p = freq / freq.sum() if freq.sum() > 0 else None
     out: list[Query] = []
     while len(out) < n:
-        nw = int(g.integers(k_words[0], k_words[1] + 1))
+        nw = int(g.integers(1, 6))
         words = g.choice(stream.model.m, size=nw, replace=False, p=p)
         tids, wts = stream.model.infer(words)
         if len(tids) == 0:
             continue  # keywords with no topical mass — redraw, as a user would
-        ts = int(g.integers(lo, max(lo + 1, stream.t_end + 1)))
+        ts = int(g.integers(t_min, max(t_min + 1, stream.t_end + 1)))
         out.append(Query(keywords=words, topics=tids, weights=wts, ts=ts))
     return out

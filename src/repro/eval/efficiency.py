@@ -45,8 +45,8 @@ def bench_queries(
     state: SIRStream,
     queries: list[Query],
     *,
-    k: int = 10,
-    eps: float = 0.1,
+    k: int = DEFAULTS.k,
+    eps: float = DEFAULTS.eps,
     algorithms: tuple[str, ...] = ALGORITHMS,
 ) -> pd.DataFrame:
     """Average per-query CPU time, score, and evaluated-element ratio.
@@ -88,7 +88,7 @@ def sweep_epsilon(
     state: SIRStream,
     queries: list[Query],
     *,
-    k: int = 10,
+    k: int = DEFAULTS.k,
     eps_grid: tuple[float, ...] = DEFAULTS.eps_grid,
 ) -> pd.DataFrame:
     """Figure 7/8: MTTS/MTTD query time and score as ε varies."""
@@ -100,55 +100,39 @@ def sweep_epsilon(
     return pd.concat(rows, ignore_index=True)
 
 
-def sweep_k(
-    state: SIRStream,
-    queries: list[Query],
-    *,
-    eps: float = 0.1,
-    k_grid: tuple[int, ...] = DEFAULTS.k_grid,
-    algorithms: tuple[str, ...] = ALGORITHMS,
-) -> pd.DataFrame:
-    """Figure 9/10/11: all algorithms as k varies."""
+def sweep_k(state: SIRStream, queries: list[Query]) -> pd.DataFrame:
+    """Figure 9/10/11: all algorithms as k varies over ``DEFAULTS.k_grid``."""
     rows = []
-    for k in k_grid:
-        sub = bench_queries(state, queries, k=k, eps=eps, algorithms=algorithms)
+    for k in DEFAULTS.k_grid:
+        sub = bench_queries(state, queries, k=k)
         sub.insert(0, "k", k)
         rows.append(sub)
     return pd.concat(rows, ignore_index=True)
 
 
-def sweep_scalability(
-    profile,
-    *,
-    n_elements: int,
-    z_grid: tuple[int, ...] = (50, 150, 250),
-    T_grid: tuple[int, ...] = (360, 720, 1440, 1800),
-    n_queries: int = 15,
-    seed: int = 0,
-) -> pd.DataFrame:
+def sweep_scalability(profile, *, n_elements: int, seed: int) -> pd.DataFrame:
     """Figures 12–14: query/update time as z and T vary.
 
-    Regenerates the stream per grid point (the paper retrains a topic
-    model per z), replays it, and measures CELF/MTTS/MTTD query times
-    plus per-element maintenance cost.  The axis not swept, L and the
-    stream span are the ``DEFAULTS``.
+    Regenerates the stream per point of the Table-4 grids
+    ``DEFAULTS.z_grid`` and ``DEFAULTS.T_grid`` (the paper retrains a
+    topic model per z), replays it, and measures CELF/MTTS/MTTD query
+    times over 15 queries plus per-element maintenance cost.  The axis
+    not swept, L and the stream span are the ``DEFAULTS``.
     """
     from repro.corpus.generator import generate_queries, generate_stream
     from repro.eval.common import build_state
 
     rows = []
-    grid = [("z", z, DEFAULTS.T) for z in z_grid] + [
-        ("T", DEFAULTS.z, T) for T in T_grid
+    grid = [("z", z, DEFAULTS.T) for z in DEFAULTS.z_grid] + [
+        ("T", DEFAULTS.z, T) for T in DEFAULTS.T_grid
     ]
     for axis, z, T in grid:
         stream = generate_stream(
             profile, n_elements=n_elements, z=z, duration=DEFAULTS.duration, seed=seed
         )
         state = build_state(stream, T, DEFAULTS.L)
-        queries = generate_queries(stream, n_queries, seed=seed + 1, t_min=T)
-        sub = bench_queries(
-            state, queries, k=10, eps=0.1, algorithms=("CELF", "MTTS", "MTTD")
-        )
+        queries = generate_queries(stream, 15, seed=seed + 1, t_min=T)
+        sub = bench_queries(state, queries, algorithms=("CELF", "MTTS", "MTTD"))
         upd = update_time(state)
         for _, r in sub.iterrows():
             rows.append(

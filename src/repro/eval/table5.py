@@ -30,20 +30,17 @@ from repro.eval.common import METHODS, effectiveness_metrics, run_methods
 __all__ = ["topical_queries", "table5_user_study"]
 
 
-def topical_queries(
-    stream: SocialStream, n: int = 20, n_words: int = 4, ts: int | None = None
-) -> list[Query]:
-    """The paper's trending-topic queries: for each of the ``n`` most
-    prevalent topics, use its top ``n_words`` topical words as keywords."""
+def topical_queries(stream: SocialStream, *, n: int, ts: int) -> list[Query]:
+    """The paper's trending-topic queries at time ``ts``: for each of the
+    ``n`` most prevalent topics, use its top 4 topical words as keywords."""
     prevalence = np.zeros(stream.model.z)
     for tids, probs in zip(stream.topic_ids, stream.topic_probs):
         for i, p in zip(tids, probs):
             prevalence[int(i)] += float(p)
     top_topics = np.argsort(-prevalence)[:n]
-    ts = ts if ts is not None else stream.t_end
     out = []
     for i in top_topics:
-        words = np.argsort(-stream.model.phi[int(i)])[:n_words]
+        words = np.argsort(-stream.model.phi[int(i)])[:4]
         tids, wts = stream.model.infer(words)
         if len(tids) == 0:
             continue

@@ -15,6 +15,7 @@ from pyspark.sql import SparkSession
 from repro.corpus.generator import Query, SocialStream
 from repro.core.state import SIRStream
 from repro.eval.common import METHODS, effectiveness_metrics, run_methods
+from repro.eval.config import DEFAULTS
 
 __all__ = ["table6_quantitative"]
 
@@ -25,7 +26,7 @@ def table6_quantitative(
     state: SIRStream,
     queries: list[Query],
     *,
-    k: int = 10,
+    k: int = DEFAULTS.k,
 ) -> pd.DataFrame:
     """One dataset's two Table-6 rows: mean coverage / influence per method."""
     results = run_methods(state, queries, k, stream_popularity=stream.popularity)

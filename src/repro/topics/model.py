@@ -16,6 +16,13 @@ import numpy as np
 
 __all__ = ["TopicModel"]
 
+#: Zipf exponent of the within-topic word distribution
+_ZIPF_A = 1.05
+#: query-vector entries below this share (after normalisation) are dropped
+_TRUNC = 0.03
+#: most non-zero entries a query vector keeps — query vectors are sparse (small d)
+_MAX_TOPICS = 8
+
 
 class TopicModel:
     """Sparse synthetic topic model over an integer vocabulary.
@@ -31,8 +38,6 @@ class TopicModel:
     support:
         Words with non-zero probability per topic. Defaults to
         ``max(30, 3*m//z)`` so supports overlap between topics.
-    zipf_a:
-        Zipf exponent of the within-topic word distribution.
     """
 
     def __init__(
@@ -42,7 +47,6 @@ class TopicModel:
         *,
         seed: int = 0,
         support: int | None = None,
-        zipf_a: float = 1.05,
     ) -> None:
         if z < 1 or vocab_size < 2:
             raise ValueError("need z >= 1 and vocab_size >= 2")
@@ -54,7 +58,7 @@ class TopicModel:
         # phi[i, w] = p_i(w); rows sum to 1, sparse by construction.
         phi = np.zeros((z, vocab_size))
         ranks = np.arange(1, s + 1, dtype=float)
-        base = 1.0 / ranks**zipf_a
+        base = 1.0 / ranks**_ZIPF_A
         base /= base.sum()
         for i in range(z):
             words = g.choice(vocab_size, size=s, replace=False)
@@ -72,54 +76,36 @@ class TopicModel:
         return np.nonzero(self.phi[:, word])[0]
 
     # -- query inference -------------------------------------------------
-    def infer(
-        self,
-        words: np.ndarray,
-        freqs: np.ndarray | None = None,
-        *,
-        trunc: float = 0.03,
-        max_topics: int = 8,
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def infer(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Infer a sparse query vector from a keyword pseudo-document.
 
         Implements the paper's query-by-keyword transform: the keywords
         are a pseudo-document whose topic distribution becomes the query
         vector **x**.  Inference averages per-word topic
-        responsibilities ``p_i(w)/Σ_j p_j(w)`` weighted by frequency —
-        a single E-step with a uniform prior, adequate for a synthetic
-        oracle.  Entries below ``trunc`` (after normalisation) are
-        dropped and the rest renormalised, matching the observation that
-        query vectors have few non-zero entries ``d``.
+        responsibilities ``p_i(w)/Σ_j p_j(w)`` over the keywords — a
+        single E-step with a uniform prior, adequate for a synthetic
+        oracle.  Entries below ``_TRUNC`` (after normalisation) are
+        dropped, at most ``_MAX_TOPICS`` of the largest are kept, and the
+        rest renormalised, matching the observation that query vectors
+        have few non-zero entries ``d``.
 
         Returns ``(topic_ids, weights)`` with ``weights.sum() == 1``
         (both empty if no keyword has topical mass).
         """
-        words = np.asarray(words, dtype=int)
-        if freqs is None:
-            freqs = np.ones(len(words))
         x = np.zeros(self.z)
-        for w, c in zip(words, freqs):
+        for w in np.asarray(words, dtype=int):
             tot = self._col_sum[w]
             if tot > 0:
-                x += c * self.phi[:, w] / tot
+                x += self.phi[:, w] / tot
         if x.sum() <= 0:
             return np.empty(0, dtype=int), np.empty(0)
         x /= x.sum()
-        keep = x >= trunc
+        keep = x >= _TRUNC
         if not keep.any():
             keep = x == x.max()
-        # keep at most max_topics entries — query vectors are sparse (small d)
         ids = np.nonzero(keep)[0]
-        if len(ids) > max_topics:
-            ids = ids[np.argsort(-x[ids])[:max_topics]]
+        if len(ids) > _MAX_TOPICS:
+            ids = ids[np.argsort(-x[ids])[:_MAX_TOPICS]]
             ids = np.sort(ids)
         wts = x[ids] / x[ids].sum()
         return ids, wts
-
-    # -- sampling helpers (used by the corpus generator) -----------------
-    def sample_words(self, topic_ids: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Draw one word per entry of ``topic_ids`` from ``p_i(w)``."""
-        out = np.empty(len(topic_ids), dtype=int)
-        for j, i in enumerate(topic_ids):
-            out[j] = rng.choice(self.m, p=self.phi[i])
-        return out

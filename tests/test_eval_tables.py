@@ -11,7 +11,9 @@ import pytest
 from repro.corpus import PROFILES, generate_queries, generate_stream
 from repro.eval.common import METHODS
 from repro.eval.config import DEFAULTS
-from repro.eval.efficiency import ALGORITHMS, bench_queries, sweep_epsilon, update_time
+from repro.eval.efficiency import (
+    ALGORITHMS, bench_queries, sweep_epsilon, sweep_scalability, update_time,
+)
 from repro.eval.table3 import table3_frame
 from repro.eval.table5 import table5_user_study, topical_queries
 from repro.eval.table6 import table6_quantitative
@@ -96,6 +98,18 @@ def test_sweep_epsilon_quality_declines(small_state, small_queries):
     # at 800-element test scale the ε=0.5 rounds are very coarse; the
     # paper's ≤5 % claim is asserted at bench scale (bench_quality.py)
     assert mttd.loc[0.5, "score_vs_celf"] >= 0.80
+
+
+def test_sweep_scalability_covers_table4_grid():
+    """Figs 12–13 sweep exactly the Table-4 z and T grids, each at the
+    other axis' default, with CELF, MTTS and MTTD at every point."""
+    df = sweep_scalability(PROFILES["reddit"], n_elements=300, seed=0)
+    points = df.groupby(["axis", "z", "T"], sort=False)["algorithm"].apply(sorted)
+    z_rows = [(z, T) for (axis, z, T) in points.index if axis == "z"]
+    T_rows = [(z, T) for (axis, z, T) in points.index if axis == "T"]
+    assert z_rows == [(z, DEFAULTS.T) for z in DEFAULTS.z_grid]
+    assert T_rows == [(DEFAULTS.z, T) for T in DEFAULTS.T_grid]
+    assert all(algs == ["CELF", "MTTD", "MTTS"] for algs in points)
 
 
 def test_update_time_accounting(small_state):

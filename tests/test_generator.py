@@ -102,8 +102,8 @@ def test_generate_queries_contract(stream):
 
 
 def test_generate_stream_requires_size():
-    with pytest.raises(ValueError):
-        generate_stream(AMINER)
+    with pytest.raises(TypeError):
+        generate_stream(AMINER, z=8, duration=300, seed=0)
 
 
 def test_score_skew(stream):
