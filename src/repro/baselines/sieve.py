@@ -29,10 +29,13 @@ def sieve_streaming(state: SIRStream, query, k: int, eps: float = 0.1) -> QueryR
         if d <= 0:
             continue
         phi.observe(d)
+        view = None  # e's query view, built once and shared by every candidate
         for j, cand in phi.cands.items():
             if len(cand.S) >= k:
                 continue
             need = (phi.guess(j) / 2.0 - cand.value) / (k - len(cand.S))
-            if cand.gain(e) >= need:
-                cand.add(e)
+            if view is None:
+                view = cand.view(e)
+            if cand.gain(e, view) >= need:
+                cand.add(e, view)
     return QueryResult.of(phi.best(), n_eval, 0)

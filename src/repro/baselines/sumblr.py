@@ -87,7 +87,7 @@ def sumblr(
                 # but-not-degenerate spread
                 infl = 3.0 * author_score.get(eid, 0.0) ** 0.25
             else:
-                infl = math.log1p(len(w.children_of(eid)))
+                infl = math.log1p(len(w.children.get(eid, ())))
             s = cen * (1.0 + infl)
             if s > best_s:
                 best, best_s = eid, s

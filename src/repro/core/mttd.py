@@ -41,10 +41,12 @@ def mttd(state: SIRStream, query, k: int, eps: float = 0.1) -> QueryResult:
         # evaluation round: admit while some buffered Δ_e can reach τ
         while buf and -buf[0][0] >= tau:
             _, eid = heapq.heappop(buf)
-            g = cov.gain(w.store[eid])
+            e = w.store[eid]
+            view = cov.view(e)
+            g = cov.gain(e, view)
             n_eval += 1
             if g >= tau:
-                cov.add(w.store[eid])
+                cov.add(e, view)
                 if len(cov.S) == k:
                     return QueryResult.of(cov, n_eval, trav.n_retrieved)
             elif g > _EPS:

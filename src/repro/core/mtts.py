@@ -20,28 +20,41 @@ from repro.core.state import SIRStream
 __all__ = ["mtts", "QueryResult"]
 
 
+def _open(phi: Phi, k: int) -> list[tuple[float, CoverageState]]:
+    """(t_j = φ_j/2k, S_φj) for every candidate not yet full, ascending in j."""
+    return [(phi.guess(j) / (2.0 * k), c) for j, c in sorted(phi.cands.items()) if len(c.S) < k]
+
+
 def mtts(state: SIRStream, query, k: int, eps: float = 0.1) -> QueryResult:
     """Process k-SIR query ``query`` (.topics/.weights) over ``state``."""
     topics, weights = parse_query(query, k, eps)
     w = state.window
     trav = Traversal(w.rl, topics, weights)
     phi = Phi(k, eps, lambda: CoverageState(w, topics, weights))
+    opened: list[tuple[float, CoverageState]] = []  # rebuilt when Φ changes or a candidate fills
     th = 0.0
     n_eval = 0
     while (eid := trav.next_above(th)) is not None:
         e = w.store[eid]
         dex = w.delta_x(eid, topics, weights)
         n_eval += 1
+        m = phi.m
         phi.observe(dex)
-        for j in sorted(phi.cands):  # ascending thresholds: break at first fail
-            t_j = phi.guess(j) / (2.0 * k)
+        if phi.m != m:
+            opened = _open(phi, k)
+        view = None  # e's query view, built once and shared by every candidate
+        filled = False
+        for t_j, cand in opened:  # ascending thresholds: break at first fail
             if dex < t_j:
                 break  # δ(e,x) < φ/2k for this and every larger φ
-            cand = phi.cands[j]
-            if len(cand.S) < k and cand.gain(e) >= t_j:
-                cand.add(e)
-        unfilled = [j for j, c in phi.cands.items() if len(c.S) < k]
-        th = phi.guess(min(unfilled)) / (2.0 * k) if unfilled else math.inf
-        if phi.cands and not unfilled:
+            if view is None:
+                view = cand.view(e)
+            if cand.gain(e, view) >= t_j:
+                cand.add(e, view)
+                filled = filled or len(cand.S) == k
+        if filled:
+            opened = [(t_j, c) for t_j, c in opened if len(c.S) < k]
+        th = opened[0][0] if opened else math.inf
+        if phi.cands and not opened:
             break  # every candidate full: no element can be admitted
     return QueryResult.of(phi.best(), n_eval, trav.n_retrieved)

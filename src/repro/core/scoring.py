@@ -6,7 +6,11 @@ I_{i,t} (probabilistic coverage over in-window references, Eq. 4), the
 combined scoring function f (Eqs. 1–2), and an incremental
 :class:`CoverageState` that evaluates marginal gains Δ(e|S) in
 O(|V_e| + |I_t(e)|) per queried topic — the evaluation primitive shared
-by MTTS, MTTD, CELF, and SieveStreaming.  The incremental scorers read
+by MTTS, MTTD, CELF, and SieveStreaming.  Gains are computed from a
+per-query element view (``CoverageState.view``): e's words, σ_i(w,e)
+and in-window children for the queried topics, converted to Python
+numbers once and shared by every candidate of the query that scores e.
+A view is valid for one query only.  The incremental scorers read
 λ and (1−λ)/η from their window context (``ActiveWindow.lam``/``c_inf``);
 only the from-scratch references below take λ and η as arguments.
 
@@ -123,6 +127,14 @@ class CoverageState:
     remaining non-activation probability ``Π_{e'∈S∩c.ref}(1−p_i(e'⇝c))``
     — exactly the state needed to compute Δ(e|S) for the submodular
     objective in one pass over e's words and children.
+
+    :meth:`gain` and :meth:`add` walk an element *view* (:meth:`view`):
+    e's data restricted to the queried topics, as plain Python numbers.
+    A view depends only on the query and the window, not on S, so one
+    view serves every candidate of the same query (MTTS and Sieve score
+    e against all their open candidates with it).  It lives for one
+    query: the window moves between queries, and I_t(e) with it.
+    Without a view, each call builds its own.
     """
 
     __slots__ = ("ctx", "lam", "c_inf", "xw", "wordcov", "remprob", "S", "value")
@@ -137,49 +149,57 @@ class CoverageState:
         self.S: list[int] = []
         self.value = 0.0
 
-    def gain(self, e: Element) -> float:
-        """Δ(e|S) = f(S∪{e}, x) − f(S, x) without mutating the state."""
-        return self._gain(e, apply=False)
-
-    def add(self, e: Element) -> float:
-        """Add ``e`` to S; returns the realised marginal gain."""
-        g = self._gain(e, apply=True)
-        self.S.append(e.eid)
-        self.value += g
-        return g
-
-    def _gain(self, e: Element, *, apply: bool) -> float:
-        g = 0.0
-        children = None
+    def view(self, e: Element) -> list[tuple]:
+        """e as this query scores it: per queried topic i with p_i(e) > 0,
+        ``(i, x_i·λ, x_i·(1−λ)/η, words, σ_i(·,e), kids)`` with ``words``
+        and σ as Python lists and ``kids`` the in-window children as
+        ``((i, c.eid), p_i(e)·p_i(c))`` pairs."""
+        out = []
+        words = children = None
         for i, xi in self.xw.items():
             pe = e.tp.get(i)
             if pe is None:
                 continue
+            if words is None:
+                words = e.words.tolist()
+                children = list(self.ctx.children_of(e.eid))
+            kids = [((i, c.eid), pe * pc) for c in children if (pc := c.tp.get(i)) is not None]
+            out.append((i, xi * self.lam, xi * self.c_inf, words, e.sigma[i].tolist(), kids))
+        return out
+
+    def gain(self, e: Element, view: list[tuple] | None = None) -> float:
+        """Δ(e|S) = f(S∪{e}, x) − f(S, x) without mutating the state."""
+        return self._gain(self.view(e) if view is None else view, apply=False)
+
+    def add(self, e: Element, view: list[tuple] | None = None) -> float:
+        """Add ``e`` to S; returns the realised marginal gain."""
+        g = self._gain(self.view(e) if view is None else view, apply=True)
+        self.S.append(e.eid)
+        self.value += g
+        return g
+
+    def _gain(self, view: list[tuple], *, apply: bool) -> float:
+        g = 0.0
+        remprob = self.remprob
+        for i, x_sem, x_inf, words, sigma, kids in view:
             # semantic: Σ_w max(0, σ_i(w,e) − current coverage)
             cov = self.wordcov[i]
             sem = 0.0
-            for w, s in zip(e.words, e.sigma[i]):
-                cur = cov.get(int(w), 0.0)
+            for w, s in zip(words, sigma):
+                cur = cov.get(w, 0.0)
                 if s > cur:
                     sem += s - cur
                     if apply:
-                        cov[int(w)] = float(s)
-            g += xi * self.lam * sem
+                        cov[w] = s
+            g += x_sem * sem
             # influence: Σ_c p_i(e⇝c) · Π_{e'∈S∩c.ref}(1 − p_i(e'⇝c))
-            if children is None:
-                children = list(self.ctx.children_of(e.eid))
             inf = 0.0
-            for c in children:
-                pc = c.tp.get(i)
-                if pc is None:
-                    continue
-                p = pe * pc
-                key = (i, c.eid)
-                rem = self.remprob.get(key, 1.0)
+            for key, p in kids:
+                rem = remprob.get(key, 1.0)
                 inf += p * rem
                 if apply:
-                    self.remprob[key] = rem * (1.0 - p)
-            g += xi * self.c_inf * inf
+                    remprob[key] = rem * (1.0 - p)
+            g += x_inf * inf
         return g
 
 
