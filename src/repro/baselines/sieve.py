@@ -4,7 +4,8 @@ The streaming baseline: a single pass over *all* active elements in
 arbitrary order, maintaining candidates for a geometric progression of
 OPT guesses; (1/2 − ε)-approximate.  Unlike MTTS it has no ranked-list
 ordering, so it cannot terminate early — every active element is
-evaluated.
+evaluated.  It shares MTTS's Φ (:class:`~repro.core.query.Phi`), so
+guesses holding the same S also share one coverage state here.
 """
 from __future__ import annotations
 
@@ -30,12 +31,18 @@ def sieve_streaming(state: SIRStream, query, k: int, eps: float = 0.1) -> QueryR
             continue
         phi.observe(d)
         view = None  # e's query view, built once and shared by every candidate
-        for j, cand in phi.cands.items():
+        for cand, js in list(phi.members.items()):
             if len(cand.S) >= k:
                 continue
-            need = (phi.guess(j) / 2.0 - cand.value) / (k - len(cand.S))
             if view is None:
                 view = cand.view(e)
-            if cand.gain(e, view) >= need:
-                cand.add(e, view)
+            g = cand.gain(e, view)  # once per distinct state
+            # the need rises with j, so the members that admit e are a prefix
+            n = 0
+            for j in js:
+                if g < (phi.guess(j) / 2.0 - cand.value) / (k - len(cand.S)):
+                    break
+                n += 1
+            if n:
+                phi.admit(cand, n, e, view)
     return QueryResult.of(phi.best(), n_eval, 0)

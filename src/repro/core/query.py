@@ -7,7 +7,8 @@ result size k and — where it thresholds — an accuracy ε, and returns a
 k ≥ 1, 0 < ε < 1, and x a finite non-negative vector aligned with its
 distinct topic ids.  :class:`Phi` is the OPT-guess set Φ = {(1+ε)^j} of
 Badanidiyuru et al., *Streaming submodular maximization* (KDD'14), that
-MTTS and SieveStreaming both sieve over.
+MTTS and SieveStreaming both sieve over; guesses holding the same S
+share one coverage state, so e is scored once per distinct S.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
-    from repro.core.scoring import CoverageState
+    from repro.core.scoring import CoverageState, Element
 
 __all__ = ["QueryResult", "parse_query", "Phi"]
 
@@ -64,8 +65,18 @@ def parse_query(query, k: int, eps: float | None = None) -> tuple[list[int], lis
 class Phi:
     """Candidates S_φ for φ = (1+ε)^j ∈ [m, 2·k·m], m the running max δ.
 
-    ``cands`` maps j → candidate and keeps insertion order, so ties in
-    :meth:`best` resolve the same way on every run.
+    ``cands`` maps j → candidate and keeps insertion order (ascending j),
+    so ties in :meth:`best` resolve the same way on every run.
+
+    Candidates that hold the same S — the same elements admitted in the
+    same order — hold bit-identical coverage, so they share one
+    :class:`CoverageState`; ``members`` maps each distinct state to its
+    j's in ascending order, and every empty candidate shares one state.
+    A sieve scores e once per distinct state.  A state's members see the
+    same gain and their admission thresholds rise with j, so the members
+    that admit e are a prefix of its list: :meth:`admit` extends the
+    state in place when all of them admit, and otherwise moves the
+    prefix to a copy, leaving the state of the rest unchanged.
     """
 
     def __init__(self, k: int, eps: float, new_candidate: Callable[[], CoverageState]):
@@ -75,6 +86,8 @@ class Phi:
         self._new = new_candidate
         self.m = 0.0
         self.cands: dict[int, CoverageState] = {}
+        self.members: dict[CoverageState, list[int]] = {}
+        self._empty: CoverageState | None = None  # the state opened candidates join
 
     def guess(self, j: int) -> float:
         """The OPT guess φ_j = (1+ε)^j."""
@@ -89,10 +102,33 @@ class Phi:
         j_hi = math.floor(math.log(2.0 * self.k * d) / self._log_base + 1e-9)
         for j in list(self.cands):
             if j < j_lo or j > j_hi:
-                del self.cands[j]
-        for j in range(j_lo, j_hi + 1):
-            if j not in self.cands:
-                self.cands[j] = self._new()
+                cand = self.cands.pop(j)
+                js = self.members[cand]
+                js.remove(j)
+                if not js:
+                    del self.members[cand]
+        # Both ends of the range only rise, so every opened j lies above
+        # every kept one and the members lists stay ascending.
+        opened = [j for j in range(j_lo, j_hi + 1) if j not in self.cands]
+        if opened:
+            if self._empty is None or self._empty.S:
+                self._empty = self._new()
+            for j in opened:
+                self.cands[j] = self._empty
+            self.members.setdefault(self._empty, []).extend(opened)
+
+    def admit(self, cand: CoverageState, n: int, e: Element, view: list[tuple]) -> CoverageState:
+        """Add ``e`` to the first ``n`` members of ``cand``; → their state now."""
+        js = self.members[cand]
+        if n < len(js):
+            moved = js[:n]
+            del js[:n]
+            cand = cand.copy()
+            self.members[cand] = moved
+            for j in moved:
+                self.cands[j] = cand
+        cand.add(e, view)
+        return cand
 
     def best(self) -> CoverageState | None:
         """The candidate with the largest f(S_φ, x), or ``None`` if Φ is empty."""

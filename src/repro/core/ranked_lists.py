@@ -7,6 +7,8 @@ copy of δ: it lives only in ``ActiveWindow.delta``, their one writer.
 ``Traversal`` implements the two access operations the query algorithms
 need — ``RL_i.first`` and ``RL_i.next`` — with the paper's cross-list
 "visited" marking so each element is retrieved at most once per query.
+The heads that UB(x) reads are kept for the pop that follows it, so
+each list head is read once per pop.
 """
 from __future__ import annotations
 
@@ -55,6 +57,8 @@ class Traversal:
     the next *unvisited* tuple of RL_i; ``pop_best(weights)`` pops the
     element maximising x_i·δ_i(e^{(i)}) across lists and marks every
     copy of it visited (lazily — other cursors skip it on read).
+    ``upper_bound()`` and ``pop_best()`` share one read of the heads,
+    which a pop invalidates.
     """
 
     def __init__(self, rl: RankedLists, topics: Iterable[int], weights: Iterable[float]):
@@ -64,6 +68,7 @@ class Traversal:
         self._cursor = {i: 0 for i in self.topics}
         self.visited: set[int] = set()
         self.n_retrieved = 0
+        self._heads: list[tuple[float, int, int]] | None = None
 
     def head(self, topic: int) -> tuple[int, float] | None:
         """(eid, δ_i) of the next unvisited tuple in RL_i, or None."""
@@ -77,25 +82,32 @@ class Traversal:
         negd, eid = lst[c]
         return eid, -negd
 
+    def _read_heads(self) -> list[tuple[float, int, int]]:
+        """(x_i·δ_i, eid, i) of each non-exhausted list's head, in topic
+        order; read once and reused until the next pop moves a cursor."""
+        if self._heads is None:
+            heads = []
+            for i in self.topics:
+                h = self.head(i)
+                if h is not None:
+                    heads.append((self.weights[i] * h[1], h[0], i))
+            self._heads = heads
+        return self._heads
+
     def upper_bound(self) -> float:
         """UB(x) = Σ_i x_i·δ_i(e^{(i)}) over non-exhausted lists."""
         ub = 0.0
-        for i in self.topics:
-            h = self.head(i)
-            if h is not None:
-                ub += self.weights[i] * h[1]
+        for v, _, _ in self._read_heads():
+            ub += v
         return ub
 
     def pop_best(self) -> tuple[int, int] | None:
         """Pop the element with maximum x_i·δ_i(e^{(i)}); → (eid, i*)."""
         best, best_i, best_v = None, None, -1.0
-        for i in self.topics:
-            h = self.head(i)
-            if h is None:
-                continue
-            v = self.weights[i] * h[1]
+        for v, eid, i in self._read_heads():
             if v > best_v:
-                best, best_i, best_v = h[0], i, v
+                best, best_i, best_v = eid, i, v
+        self._heads = None
         if best is None:
             return None
         self.visited.add(best)

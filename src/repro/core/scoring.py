@@ -132,7 +132,7 @@ class CoverageState:
     e's data restricted to the queried topics, as plain Python numbers.
     A view depends only on the query and the window, not on S, so one
     view serves every candidate of the same query (MTTS and Sieve score
-    e against all their open candidates with it).  It lives for one
+    e against each distinct candidate state with it).  It lives for one
     query: the window moves between queries, and I_t(e) with it.
     Without a view, each call builds its own.
     """
@@ -148,6 +148,16 @@ class CoverageState:
         self.remprob: dict[tuple[int, int], float] = {}
         self.S: list[int] = []
         self.value = 0.0
+
+    def copy(self) -> CoverageState:
+        """An independent state with the same S, coverage and f(S, x)."""
+        c = CoverageState.__new__(CoverageState)
+        c.ctx, c.lam, c.c_inf, c.xw = self.ctx, self.lam, self.c_inf, self.xw
+        c.wordcov = {i: cov.copy() for i, cov in self.wordcov.items()}
+        c.remprob = self.remprob.copy()
+        c.S = self.S.copy()
+        c.value = self.value
+        return c
 
     def view(self, e: Element) -> list[tuple]:
         """e as this query scores it: per queried topic i with p_i(e) > 0,

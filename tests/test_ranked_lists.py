@@ -174,3 +174,62 @@ def test_traversal_is_total_and_unique(data):
         eids.add(p[0])
     present = {eid for i in range(4) for eid, _ in rl.items(i)}
     assert eids == present  # ... and at least once
+
+
+def _pops(tr, ub_calls, n_eids):
+    """Pop everything, calling upper_bound() ``ub_calls[n]`` times before
+    the n-th pop; → the pops and each call's UB(x).  Fails if more than
+    ``n_eids`` elements come out."""
+    pops, ubs = [], []
+    while len(pops) <= n_eids:
+        ubs.append([tr.upper_bound() for _ in range(ub_calls[len(ubs) % len(ub_calls)])])
+        if (p := tr.pop_best()) is None:
+            return pops, ubs
+        pops.append(p)
+    raise AssertionError(f"{len(pops)} pops from {n_eids} elements: {pops}")
+
+
+def _ub_read_directly(rl, topics, weights, popped):
+    """UB(x) over the unpopped tuples, read straight from the lists."""
+    ub = 0.0
+    for i, x in zip(topics, weights):
+        rest = [d for eid, d in rl.items(i) if eid not in popped]
+        if rest:
+            ub += x * rest[0]
+    return ub
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_upper_bound_calls_do_not_change_pops(data):
+    """pop_best reuses the heads upper_bound() read; the pops are the same
+    with no, one or two upper_bound() calls before each, and a pop with
+    no upper_bound() before it still takes the best head."""
+    entries = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 15), st.sampled_from([0.5, 1.0, 2.0, 3.5])),
+            max_size=40,
+        )
+    )
+    weights = data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=4, max_size=4))
+    rl = _rl_from(entries)
+    topics = [0, 1, 2, 3]
+    n_eids = len({eid for _, eid, _ in entries})
+    plain, _ = _pops(Traversal(rl, topics, weights), [0], n_eids)
+    for pattern in ([1], [2], [0, 1, 2], [2, 0]):
+        pops, ubs = _pops(Traversal(rl, topics, weights), pattern, n_eids)
+        assert pops == plain
+        for n, calls in enumerate(ubs):
+            want = _ub_read_directly(rl, topics, weights, {eid for eid, _ in pops[:n]})
+            assert calls == [want] * len(calls)
+
+
+def test_pop_best_without_upper_bound():
+    rl = _rl_from([(0, 1, 3.0), (0, 2, 2.0), (1, 2, 4.0), (1, 3, 1.0)])
+    tr = Traversal(rl, [0, 1], [1.0, 0.5])
+    assert tr.pop_best() == (1, 0)  # 3.0 > 0.5·4.0
+    assert tr.upper_bound() == 4.0  # 2.0 + 0.5·4.0
+    assert tr.pop_best() == (2, 0)  # a tie goes to the first topic
+    assert tr.pop_best() == (3, 1)  # e2's copy in RL_1 was visited: skipped
+    assert tr.upper_bound() == 0.0
+    assert tr.pop_best() is None

@@ -170,6 +170,33 @@ def test_shared_view_matches_no_view_path(tiny_state, tiny_queries, pool, data):
 
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
+def test_copy_is_independent(tiny_state, tiny_queries, pool, data):
+    """Adding to a copy leaves the original's coverage, S and f(S) as they
+    were, and the copy scores exactly as a state built by the same adds."""
+    w = tiny_state.window
+    q = data.draw(st.sampled_from(tiny_queries))
+    sub = data.draw(st.lists(st.sampled_from(pool), max_size=5, unique=True))
+    more = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    cov = CoverageState(w, q.topics, q.weights)
+    for eid in sub:
+        cov.add(w.store[eid])
+    snapshot = (
+        {i: dict(c) for i, c in cov.wordcov.items()}, dict(cov.remprob), list(cov.S), cov.value
+    )
+    twin = cov.copy()
+    ref = CoverageState(w, q.topics, q.weights)
+    for eid in sub:
+        ref.add(w.store[eid])
+    for eid in more:
+        assert twin.add(w.store[eid]) == ref.add(w.store[eid])
+    assert (cov.wordcov, cov.remprob, cov.S, cov.value) == snapshot
+    assert (twin.wordcov, twin.remprob, twin.S, twin.value) == (
+        ref.wordcov, ref.remprob, ref.S, ref.value
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
 def test_singleton_delta_matches_maintained(tiny_state, tiny_queries, pool, data):
     """Index-less δ(e,x) == maintained Σ x_i·δ_i(e) for active elements."""
     w = tiny_state.window

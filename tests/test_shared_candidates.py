@@ -1,0 +1,254 @@
+"""Shared candidate states in the sieves, checked against an oracle.
+
+MTTS and SieveStreaming let the OPT guesses of Φ that hold the same S
+share one ``CoverageState`` and copy it only when the guesses diverge
+(``Phi.admit``); the ranked-list traversal reads each list head once
+per pop.  Neither may change an answer.  The oracle below is the plain
+sieve: every guess owns its own ``CoverageState``, every candidate
+scores e itself, and the scan re-reads every head for UB(x) and again
+for the pop.  On hypothesis-generated streams, queried mid-stream and
+at the end, both sieves must match it bit for bit: eids in admission
+order, ``value.hex()``, ``n_evaluated`` and ``n_retrieved``.
+"""
+import math
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.baselines import sieve_streaming
+from repro.core import SIRStream, make_element, mtts
+from repro.core.query import _EPS, Phi
+from repro.core.scoring import CoverageState, singleton_delta
+
+Z, M = 3, 8  # topics and vocabulary of the generated streams
+
+
+# -- the oracle: one CoverageState per OPT guess -------------------------
+
+def _guess_range(d, k, eps):
+    """The j's of Φ for running max ``d``: (1+ε)^j ∈ [d, 2·k·d]."""
+    lb = math.log1p(eps)
+    j_lo = math.ceil(math.log(d) / lb - 1e-9)
+    j_hi = math.floor(math.log(2.0 * k * d) / lb + 1e-9)
+    return range(j_lo, j_hi + 1)
+
+
+def _observe(cands, m, d, k, eps, new):
+    """Raise the running max to ``d``; each opened guess gets a new state."""
+    if d <= m:
+        return m
+    js = _guess_range(d, k, eps)
+    for j in list(cands):
+        if j not in js:
+            del cands[j]
+    for j in js:
+        if j not in cands:
+            cands[j] = new()
+    return d
+
+
+def _best(cands):
+    best = max(cands.values(), key=lambda c: c.value, default=None)
+    return ([], 0.0) if best is None else (list(best.S), best.value)
+
+
+class _RefScan:
+    """Ranked-list scan that re-reads every list head for UB(x) and again
+    for the pop."""
+
+    def __init__(self, rl, topics, weights):
+        self.lists = [(x, rl.lists.get(i, [])) for i, x in zip(topics, weights)]
+        self.cur = [0] * len(self.lists)
+        self.visited = set()
+        self.n_retrieved = 0
+
+    def _heads(self):
+        out = []
+        for t, (x, lst) in enumerate(self.lists):
+            c = self.cur[t]
+            while c < len(lst) and lst[c][1] in self.visited:
+                c += 1
+            self.cur[t] = c
+            if c < len(lst):
+                out.append((t, lst[c][1], x * -lst[c][0]))
+        return out
+
+    def next_above(self, bound):
+        ub = 0.0
+        for _, _, v in self._heads():
+            ub += v
+        if ub < bound or ub <= _EPS:
+            return None
+        best, best_t, best_v = None, None, -1.0
+        for t, eid, v in self._heads():
+            if v > best_v:
+                best, best_t, best_v = eid, t, v
+        if best is None:
+            return None
+        self.visited.add(best)
+        self.cur[best_t] += 1
+        self.n_retrieved += 1
+        return best
+
+
+def oracle_mtts(state, topics, weights, k, eps):
+    """Alg. 2 with one CoverageState per guess."""
+    w = state.window
+    scan = _RefScan(w.rl, topics, weights)
+    cands, m = {}, 0.0
+    th, n_eval = 0.0, 0
+    while (eid := scan.next_above(th)) is not None:
+        e = w.store[eid]
+        dex = w.delta_x(eid, topics, weights)
+        n_eval += 1
+        m = _observe(cands, m, dex, k, eps, lambda: CoverageState(w, topics, weights))
+        for j, cand in sorted(cands.items()):
+            t_j = (1.0 + eps) ** j / (2.0 * k)
+            if len(cand.S) == k:
+                continue
+            if dex < t_j:
+                break
+            if cand.gain(e) >= t_j:
+                cand.add(e)
+        opened = [(1.0 + eps) ** j / (2.0 * k) for j, c in sorted(cands.items()) if len(c.S) < k]
+        th = opened[0] if opened else math.inf
+        if cands and not opened:
+            break
+    return (*_best(cands), n_eval, scan.n_retrieved)
+
+
+def oracle_sieve(state, topics, weights, k, eps):
+    """SieveStreaming with one CoverageState per guess."""
+    w = state.window
+    cands, m, n_eval = {}, 0.0, 0
+    for eid in sorted(w.active):
+        e = w.store[eid]
+        d = singleton_delta(e, w, topics, weights)
+        n_eval += 1
+        if d <= 0:
+            continue
+        m = _observe(cands, m, d, k, eps, lambda: CoverageState(w, topics, weights))
+        for j, cand in cands.items():
+            if len(cand.S) >= k:
+                continue
+            need = ((1.0 + eps) ** j / 2.0 - cand.value) / (k - len(cand.S))
+            if cand.gain(e) >= need:
+                cand.add(e)
+    return (*_best(cands), n_eval, 0)
+
+
+# -- generated streams -----------------------------------------------------
+
+@st.composite
+def streams(draw):
+    """(elements, T, L, lam, eta) — a small stream with dense overlap: few
+    words and topics, few distinct probabilities, many references.  The
+    elements come from a drawn seed, so a failure shrinks in seconds."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    phi = rng.choice([0.0, 0.1, 0.2, 0.4], size=(Z, M))
+    ts, elements = 0, []
+    for eid in range(n):
+        ts += int(rng.integers(0, 4))
+        words = rng.choice(M, size=int(rng.integers(1, 6)), replace=False)
+        topics = rng.choice(Z, size=int(rng.integers(1, Z + 1)), replace=False)
+        refs = rng.choice(eid, size=min(eid, int(rng.integers(0, 4))), replace=False)
+        elements.append(make_element(
+            eid, ts, words, rng.integers(1, 4, size=len(words)).astype(float),
+            topics.tolist(), rng.choice([0.2, 0.5, 1.0], size=len(topics)).tolist(), refs, phi,
+        ))
+    T = draw(st.sampled_from([6, 12, 40]))
+    L = draw(st.sampled_from([2, 3]))
+    eta = draw(st.sampled_from([1.0, 4.0]))
+    return elements, T, L, 0.5, eta
+
+
+def _query(draw):
+    topics = draw(st.lists(st.integers(0, Z - 1), min_size=1, max_size=Z, unique=True))
+    weights = draw(st.lists(st.sampled_from([0.25, 0.5, 1.0]),
+                            min_size=len(topics), max_size=len(topics)))
+    return SimpleNamespace(topics=np.array(topics), weights=np.array(weights))
+
+
+def _answers(state, q, k, eps):
+    topics = [int(i) for i in q.topics]
+    weights = [float(x) for x in q.weights]
+    got_mtts = mtts(state, q, k, eps)
+    got_sieve = sieve_streaming(state, q, k, eps)
+    for got, want in (
+        (got_mtts, oracle_mtts(state, topics, weights, k, eps)),
+        (got_sieve, oracle_sieve(state, topics, weights, k, eps)),
+    ):
+        assert (got.eids, got.value.hex(), got.n_evaluated, got.n_retrieved) == (
+            want[0], want[1].hex(), want[2], want[3]
+        )
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.3, 0.5])
+@pytest.mark.parametrize("k", [1, 2, 3, 10])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_sieves_match_one_state_per_guess_oracle(k, eps, data):
+    elements, T, L, lam, eta = data.draw(streams())
+    state = SIRStream(T=T, L=L, lam=lam, eta=eta)
+    state.load(elements)
+    mid = elements[len(elements) // 2].ts
+    state.advance_to(mid)  # mid-stream: part of the stream still pending
+    _answers(state, _query(data.draw), k, eps)
+    state.run_all()
+    _answers(state, _query(data.draw), k, eps)
+
+
+def test_sieves_match_oracle_on_small_stream(small_state, small_queries):
+    """The same check on the golden-answer stream, at the k and ε where
+    candidates diverge most, with the sharing path demonstrably taken."""
+    copies = []
+    orig = CoverageState.copy
+
+    def counting_copy(self):
+        copies.append(self)
+        return orig(self)
+
+    CoverageState.copy = counting_copy
+    try:
+        for q in small_queries:
+            for eps in (0.1, 0.5):
+                _answers(small_state, q, 3, eps)
+    finally:
+        CoverageState.copy = orig
+    assert copies  # some candidates diverged and were split off a shared state
+
+
+# -- the pieces -------------------------------------------------------------
+
+def test_phi_shares_empty_state_and_splits_a_prefix(small_state, small_queries):
+    q = small_queries[0]
+    topics = [int(i) for i in q.topics]
+    weights = [float(x) for x in q.weights]
+    w = small_state.window
+    phi = Phi(3, 0.1, lambda: CoverageState(w, topics, weights))
+    active = sorted(w.active, key=lambda eid: -w.delta_x(eid, topics, weights))
+    e1, e2 = (w.store[eid] for eid in active[:2])
+    phi.observe(w.delta_x(e1.eid, topics, weights))
+    empty = next(iter(phi.cands.values()))
+    assert all(c is empty for c in phi.cands.values())
+    assert phi.members == {empty: sorted(phi.cands)}
+
+    js = list(phi.members[empty])
+    s1 = phi.admit(empty, 2, e1, empty.view(e1))
+    assert s1 is not empty and s1.S == [e1.eid]
+    assert empty.S == [] and empty.value == 0.0  # the refusing members stay empty
+    assert phi.members == {empty: js[2:], s1: js[:2]}
+    assert [phi.cands[j] for j in js] == [s1, s1] + [empty] * (len(js) - 2)
+
+    value = s1.value
+    assert phi.admit(s1, 2, e2, s1.view(e2)) is s1  # every member admits: in place
+    assert s1.S == [e1.eid, e2.eid] and s1.value > value
+    assert phi.members[s1] == js[:2]
+
+    phi.observe(2 * phi.m)  # opened guesses join the still-empty state
+    assert all(phi.cands[j] is empty for j in phi.members[empty])
+    assert phi.members[empty] == sorted(phi.members[empty])
+    assert set(phi.cands) == {j for m in phi.members.values() for j in m}
