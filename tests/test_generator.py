@@ -3,9 +3,13 @@
 Timestamps ordered, references strictly backwards, topical sparsity
 (< 2 topics/element on average), document lengths and reference counts
 near the profile's statistics, determinism, and the long-table views the
-Spark layer consumes.
+Spark layer consumes.  Pinned digests hold the generated streams and
+queries to the exact values of the per-element reference generator.
 """
+import hashlib
+
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.corpus import AMINER, PROFILES, REDDIT, TWITTER, generate_queries, generate_stream
@@ -110,3 +114,113 @@ def test_score_skew(stream):
     """Heavy-tailed doc lengths induce the paper's score skew."""
     tokens = np.array([float(f.sum()) for _, f in stream.docs])
     assert tokens.max() > 5 * np.median(tokens)
+
+
+def _put(h, a):
+    a = np.ascontiguousarray(a)
+    h.update(f"{a.dtype.str}{a.shape}".encode())
+    h.update(a.tobytes())
+
+
+def _stream_digest(s) -> str:
+    h = hashlib.sha256()
+    _put(h, s.ts)
+    _put(h, s.popularity)
+    for e in range(s.n):
+        for a in (*s.docs[e], s.topic_ids[e], s.topic_probs[e], s.refs[e]):
+            _put(h, a)
+    return h.hexdigest()[:16]
+
+
+def _query_digest(qs) -> str:
+    h = hashlib.sha256()
+    for q in qs:
+        for a in (q.keywords, q.topics, q.weights, np.int64(q.ts)):
+            _put(h, a)
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "profile,n,z,duration,seed,digest",
+    [
+        ("aminer", 0, 8, 30, 1, "f90ba7db310cbfa8"),
+        ("twitter", 1, 8, 30, 3, "ab16c640c2bba089"),
+        ("reddit", 1, 20, 1440, 5, "97a3065556f69e54"),
+        ("reddit", 500, 2, 1, 9, "f7564423f1102a4b"),
+        ("aminer", 700, 20, 1440, 4, "bd818845df9ead20"),
+        ("twitter", 1500, 8, 300, 7919, "5a00042d7171717f"),
+        ("reddit", 2000, 50, 4320, 1, "92adbf1d2480aaab"),
+        ("aminer", 3000, 50, 4320, 5, "efcd6c0fa97f2f38"),
+    ],
+)
+def test_stream_digest_pinned(profile, n, z, duration, seed, digest):
+    """Every draw of the generator is pinned: ``ts``, ``popularity`` and
+    each element's words, freqs, topic ids, topic probs and refs, values
+    and dtypes, hash to the digests the per-element generator produced
+    at commit ``8e4a252``.  The bulk token → topic draw relies on how
+    ``Generator.choice`` (replace=True, with ``p``) turns uniforms into
+    indices, so a NumPy upgrade that changes it fails here."""
+    s = generate_stream(PROFILES[profile], n_elements=n, z=z, duration=duration, seed=seed)
+    assert _stream_digest(s) == digest
+
+
+@pytest.mark.parametrize(
+    "profile,n,z,duration,seed,n_q,q_seed,t_min,digest",
+    [
+        ("reddit", 2000, 50, 4320, 1, 20, 3, 60, "7abfbc93d7975205"),
+        ("aminer", 700, 20, 1440, 4, 12, 8, 240, "ee4dcde73307afec"),
+        ("twitter", 1500, 8, 300, 7919, 10, 2, 0, "5f911c080e0528cc"),
+    ],
+)
+def test_query_digest_pinned(profile, n, z, duration, seed, n_q, q_seed, t_min, digest):
+    """Query keywords, topics, weights and ts hash to the digests
+    captured at commit ``8e4a252``."""
+    s = generate_stream(PROFILES[profile], n_elements=n, z=z, duration=duration, seed=seed)
+    assert _query_digest(generate_queries(s, n_q, seed=q_seed, t_min=t_min)) == digest
+
+
+def test_generate_queries_on_few_used_words():
+    """A stream that uses fewer than 5 distinct words still yields
+    queries: the keyword count is capped at the number of used words."""
+    s = generate_stream(TWITTER, n_elements=1, z=8, duration=30, seed=3)
+    used = set(s.docs[0][0].tolist())
+    assert len(used) < 5
+    qs = generate_queries(s, 10, seed=0, t_min=1)
+    assert len(qs) == 10
+    for q in qs:
+        assert 1 <= len(q.keywords) <= len(used)
+        assert set(q.keywords.tolist()) <= used
+
+
+@pytest.mark.parametrize(
+    "kwargs,name",
+    [
+        (dict(n_elements=10, z=1, duration=30), "z"),
+        (dict(n_elements=10, z=0, duration=30), "z"),
+        (dict(n_elements=10, z=8, duration=0), "duration"),
+        (dict(n_elements=10, z=8, duration=-5), "duration"),
+        (dict(n_elements=-1, z=8, duration=30), "n_elements"),
+    ],
+)
+def test_generate_stream_rejects_bad_arguments(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        generate_stream(TWITTER, seed=0, **kwargs)
+
+
+def test_long_table_views_match_per_element_construction(stream):
+    """The long tables equal a per-element construction, dtypes included."""
+    tok, et, refs = [], [], []
+    for e in range(stream.n):
+        w, f = stream.docs[e]
+        tok += [(e, int(a), int(b)) for a, b in zip(w, f)]
+        et += [(e, int(i), float(p)) for i, p in zip(stream.topic_ids[e], stream.topic_probs[e])]
+        refs += [(e, int(p)) for p in stream.refs[e]]
+    pd.testing.assert_frame_equal(
+        stream.tokens_pdf(), pd.DataFrame(tok, columns=["eid", "word", "freq"])
+    )
+    pd.testing.assert_frame_equal(
+        stream.elem_topics_pdf(), pd.DataFrame(et, columns=["eid", "topic", "p_e"])
+    )
+    pd.testing.assert_frame_equal(
+        stream.refs_pdf(), pd.DataFrame(refs, columns=["child", "parent"])
+    )
