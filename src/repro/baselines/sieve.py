@@ -4,8 +4,9 @@ The streaming baseline: a single pass over *all* active elements in
 arbitrary order, maintaining candidates for a geometric progression of
 OPT guesses; (1/2 − ε)-approximate.  Unlike MTTS it has no ranked-list
 ordering, so it cannot terminate early — every active element is
-evaluated.  It shares MTTS's Φ (:class:`~repro.core.query.Phi`), so
-guesses holding the same S also share one coverage state here.
+evaluated.  It shares MTTS's Φ (:class:`~repro.core.query.Phi`) and
+its sieve step, ``Phi.offer``, supplying only its own admission
+threshold; guesses holding the same S share one coverage state here too.
 """
 from __future__ import annotations
 
@@ -22,6 +23,10 @@ def sieve_streaming(state: SIRStream, query, k: int, eps: float = 0.1) -> QueryR
     topics, weights = parse_query(query, k, eps)
     w = state.window
     phi = Phi(k, eps, lambda: CoverageState(w, topics, weights))
+
+    def need(j: int, cand: CoverageState) -> float:
+        return (phi.guess(j) / 2.0 - cand.value) / (k - len(cand.S))
+
     n_eval = 0
     for eid in sorted(w.active):  # arbitrary but deterministic order
         e = w.store[eid]
@@ -30,19 +35,5 @@ def sieve_streaming(state: SIRStream, query, k: int, eps: float = 0.1) -> QueryR
         if d <= 0:
             continue
         phi.observe(d)
-        view = None  # e's query view, built once and shared by every candidate
-        for cand, js in list(phi.members.items()):
-            if len(cand.S) >= k:
-                continue
-            if view is None:
-                view = cand.view(e)
-            g = cand.gain(e, view)  # once per distinct state
-            # the need rises with j, so the members that admit e are a prefix
-            n = 0
-            for j in js:
-                if g < (phi.guess(j) / 2.0 - cand.value) / (k - len(cand.S)):
-                    break
-                n += 1
-            if n:
-                phi.admit(cand, n, e, view)
+        phi.offer(e, need)
     return QueryResult.of(phi.best(), n_eval, 0)

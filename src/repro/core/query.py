@@ -7,11 +7,12 @@ result size k and — where it thresholds — an accuracy ε, and returns a
 k ≥ 1, 0 < ε < 1, and x a finite non-negative vector aligned with its
 distinct topic ids.  :class:`Phi` is the OPT-guess set Φ = {(1+ε)^j} of
 Badanidiyuru et al., *Streaming submodular maximization* (KDD'14), that
-MTTS and SieveStreaming both sieve over; guesses holding the same S
-share one coverage state, so e is scored once per distinct S.
+MTTS and SieveStreaming both sieve over with :meth:`Phi.offer`; guesses
+holding the same S share one coverage state, so e is scored once per S.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
@@ -65,18 +66,13 @@ def parse_query(query, k: int, eps: float | None = None) -> tuple[list[int], lis
 class Phi:
     """Candidates S_φ for φ = (1+ε)^j ∈ [m, 2·k·m], m the running max δ.
 
-    ``cands`` maps j → candidate and keeps insertion order (ascending j),
-    so ties in :meth:`best` resolve the same way on every run.
-
-    Candidates that hold the same S — the same elements admitted in the
+    Guesses that hold the same S — the same elements admitted in the
     same order — hold bit-identical coverage, so they share one
-    :class:`CoverageState`; ``members`` maps each distinct state to its
-    j's in ascending order, and every empty candidate shares one state.
-    A sieve scores e once per distinct state.  A state's members see the
-    same gain and their admission thresholds rise with j, so the members
-    that admit e are a prefix of its list: :meth:`admit` extends the
-    state in place when all of them admit, and otherwise moves the
-    prefix to a copy, leaving the state of the rest unchanged.
+    :class:`CoverageState`, kept with its guesses as a run ``[state, js]``,
+    js ascending and contiguous.  ``runs`` holds the runs with |S| < k in
+    ascending j; ``full`` sets aside those with |S| = k.  Together they
+    partition Φ.  Every empty guess shares one state, the last run's: a
+    run only ever splits off a prefix, and guesses open above all others.
     """
 
     def __init__(self, k: int, eps: float, new_candidate: Callable[[], CoverageState]):
@@ -85,51 +81,81 @@ class Phi:
         self._log_base = math.log1p(eps)
         self._new = new_candidate
         self.m = 0.0
-        self.cands: dict[int, CoverageState] = {}
-        self.members: dict[CoverageState, list[int]] = {}
-        self._empty: CoverageState | None = None  # the state opened candidates join
+        self.runs: list[list] = []
+        self.full: list[list] = []
 
     def guess(self, j: int) -> float:
         """The OPT guess φ_j = (1+ε)^j."""
         return (1.0 + self.eps) ** j
 
     def observe(self, d: float) -> None:
-        """Raise m to ``d`` if larger, dropping and opening candidates."""
+        """Raise m to ``d`` if larger, dropping and opening guesses."""
         if d <= self.m:
             return
         self.m = d
         j_lo = math.ceil(math.log(d) / self._log_base - 1e-9)
         j_hi = math.floor(math.log(2.0 * self.k * d) / self._log_base + 1e-9)
-        for j in list(self.cands):
-            if j < j_lo or j > j_hi:
-                cand = self.cands.pop(j)
-                js = self.members[cand]
-                js.remove(j)
-                if not js:
-                    del self.members[cand]
-        # Both ends of the range only rise, so every opened j lies above
-        # every kept one and the members lists stay ascending.
-        opened = [j for j in range(j_lo, j_hi + 1) if j not in self.cands]
+        # Both ends of the range only rise: guesses drop off the bottom,
+        # from full runs too, and open above every kept one.
+        top = max((js[-1] for _, js in self.runs + self.full), default=j_lo - 1)
+        self.runs, self.full = _drop_below(self.runs, j_lo), _drop_below(self.full, j_lo)
+        opened = list(range(max(j_lo, top + 1), j_hi + 1))
         if opened:
-            if self._empty is None or self._empty.S:
-                self._empty = self._new()
-            for j in opened:
-                self.cands[j] = self._empty
-            self.members.setdefault(self._empty, []).extend(opened)
+            if self.runs and not self.runs[-1][0].S:
+                self.runs[-1][1].extend(opened)
+            else:
+                self.runs.append([self._new(), opened])
 
-    def admit(self, cand: CoverageState, n: int, e: Element, view: list[tuple]) -> CoverageState:
-        """Add ``e`` to the first ``n`` members of ``cand``; → their state now."""
-        js = self.members[cand]
-        if n < len(js):
-            moved = js[:n]
-            del js[:n]
-            cand = cand.copy()
-            self.members[cand] = moved
-            for j in moved:
-                self.cands[j] = cand
-        cand.add(e, view)
-        return cand
+    def offer(self, e: Element, need: Callable[[int, CoverageState], float], cap: float = math.inf) -> None:
+        """Admit ``e`` to every open guess j with need(j, S) ≤ min(Δ(e|S), cap).
+
+        Walks ``runs`` in ascending j and stops at the first run whose
+        first guess needs more than ``cap``.  Δ(e|S) is computed once per
+        run, from one view of e.  ``need`` rises with j within a run, so
+        the guesses that admit e are a prefix of its js: the state is
+        extended in place when all of them admit, else the prefix moves
+        to a copy.
+        """
+        view = None
+        runs = self.runs
+        filled = False
+        i = 0
+        while i < len(runs):
+            cand, js = runs[i]
+            i += 1
+            if need(js[0], cand) > cap:
+                break
+            if view is None:
+                view = cand.view(e)
+            bound = min(cand.gain(e, view), cap)
+            n = bisect.bisect_right(js, bound, key=lambda j: need(j, cand))
+            if n == 0:
+                continue
+            if n < len(js):  # the rest keep S
+                cand = cand.copy()
+                runs.insert(i - 1, [cand, js[:n]])
+                del js[:n]
+                i += 1
+            cand.add(e, view)
+            filled |= len(cand.S) == self.k
+        if filled:
+            self.full += [run for run in runs if len(run[0].S) == self.k]
+            self.runs = [run for run in runs if len(run[0].S) < self.k]
 
     def best(self) -> CoverageState | None:
-        """The candidate with the largest f(S_φ, x), or ``None`` if Φ is empty."""
-        return max(self.cands.values(), key=lambda c: c.value, default=None)
+        """The candidate with the largest f(S_φ, x), lowest j on a tie;
+        ``None`` if Φ is empty."""
+        runs = self.runs + self.full
+        if not runs:
+            return None
+        return max(runs, key=lambda run: (run[0].value, -run[1][0]))[0]
+
+
+def _drop_below(runs: list[list], j_lo: int) -> list[list]:
+    """``runs`` without their guesses below ``j_lo``; runs left empty go."""
+    kept = []
+    for cand, js in runs:
+        js = [j for j in js if j >= j_lo]
+        if js:
+            kept.append([cand, js])
+    return kept

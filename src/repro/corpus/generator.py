@@ -257,6 +257,9 @@ def generate_queries(
     lands on words with real usage; on a synthetic vocabulary a uniform
     draw would mostly pick near-unused tail words and every keyword
     method would see empty candidate sets.
+
+    Raises ``ValueError`` before any draw if no word the stream uses has
+    topical mass.
     """
     g = np.random.default_rng(seed + 101)
     # corpus word-usage distribution (document frequency; each doc's
@@ -266,6 +269,10 @@ def generate_queries(
     ).astype(float)
     n_used = int(np.count_nonzero(freq))
     p = freq / freq.sum() if n_used else None
+    mass = stream.model.phi.sum(axis=0)  # a word's topical mass; 0 outside every topic
+    if n_used and not mass[freq > 0].any():
+        # every draw would infer an empty query vector and be redrawn forever
+        raise ValueError("no word the stream uses has topical mass, so no query can be inferred")
     out: list[Query] = []
     while len(out) < n:
         nw = int(g.integers(1, 6))

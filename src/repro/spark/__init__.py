@@ -1,10 +1,16 @@
 """Distributed dataflow layer (PySpark DataFrame / Catalyst).
 
-The paper's stream maintenance — per-topic score computation, window
-membership, influence aggregation, ranked-list construction — expressed
-as Spark DataFrame pipelines, plus the Table-6 effectiveness metrics and
-a Structured-Streaming driver that advances the same
-:class:`~repro.core.state.SIRStream` bucket by bucket.
+Three parts:
+
+* a Structured-Streaming driver (:mod:`repro.spark.streaming`) that
+  advances the same :class:`~repro.core.state.SIRStream` bucket by
+  bucket — the stream state itself is maintained by
+  :mod:`repro.core.window`;
+* the Table-6 effectiveness metrics (:mod:`repro.spark.metrics`);
+* a test-only oracle (:mod:`repro.spark.scores_df`): Catalyst pipelines
+  that re-derive the Alg. 1 state — per-topic scores, window
+  membership, influence, ranked lists — independently, so the tests can
+  check the incremental state against them.  No program path runs them.
 """
 from repro.spark.scores_df import (
     semantic_scores_df,

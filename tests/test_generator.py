@@ -192,6 +192,16 @@ def test_generate_queries_on_few_used_words():
         assert set(q.keywords.tolist()) <= used
 
 
+def test_generate_queries_rejects_words_without_topical_mass():
+    """A stream whose only word (288, a noise word) lies outside every
+    topic's support cannot yield a query: raise instead of redrawing
+    forever."""
+    s = generate_stream(TWITTER, n_elements=1, z=8, duration=30, seed=1874)
+    assert not s.model.phi[:, s.docs[0][0]].any()
+    with pytest.raises(ValueError, match="topical mass"):
+        generate_queries(s, 1, seed=0, t_min=1)
+
+
 @pytest.mark.parametrize(
     "kwargs,name",
     [

@@ -1,15 +1,18 @@
 """Shared candidate states in the sieves, checked against an oracle.
 
-MTTS and SieveStreaming let the OPT guesses of Φ that hold the same S
-share one ``CoverageState`` and copy it only when the guesses diverge
-(``Phi.admit``); the ranked-list traversal reads each list head once
-per pop.  Neither may change an answer.  The oracle below is the plain
-sieve: every guess owns its own ``CoverageState``, every candidate
-scores e itself, and the scan re-reads every head for UB(x) and again
-for the pop.  On hypothesis-generated streams, queried mid-stream and
-at the end, both sieves must match it bit for bit: eids in admission
-order, ``value.hex()``, ``n_evaluated`` and ``n_retrieved``.
+MTTS and SieveStreaming run one sieve step, ``Phi.offer``: the OPT
+guesses of Φ that hold the same S share one ``CoverageState``, kept as a
+run of guesses, and a run is copied only when its guesses diverge; the
+ranked-list traversal reads each list head once per pop.  Neither may
+change an answer.  The oracle below is the plain sieve: every guess
+owns its own ``CoverageState``, every candidate scores e itself, and
+the scan re-reads every head for UB(x) and again for the pop.  On
+hypothesis-generated streams, queried mid-stream and at the end, both
+sieves must match it bit for bit: eids in admission order,
+``value.hex()``, ``n_evaluated`` and ``n_retrieved``; and after every
+``observe`` and ``offer``, Φ's runs must partition its guess range.
 """
+import contextlib
 import math
 from types import SimpleNamespace
 
@@ -172,11 +175,46 @@ def _query(draw):
     return SimpleNamespace(topics=np.array(topics), weights=np.array(weights))
 
 
+def _check_runs(phi):
+    """Open runs ascending, full runs full, each run's guesses contiguous,
+    the runs disjoint and together covering exactly Φ's guess range, and
+    only the last open run's state possibly empty."""
+    runs = phi.runs + phi.full
+    assert all(js == list(range(js[0], js[-1] + 1)) for _, js in runs)
+    open_js = [j for _, js in phi.runs for j in js]
+    assert open_js == sorted(open_js)
+    want = list(_guess_range(phi.m, phi.k, phi.eps)) if phi.m > 0 else []
+    assert sorted(j for _, js in runs for j in js) == want
+    assert len({id(cand) for cand, _ in runs}) == len(runs)
+    assert all(len(cand.S) < phi.k for cand, _ in phi.runs)
+    assert all(len(cand.S) == phi.k for cand, _ in phi.full)
+    assert all(cand.S for cand, _ in phi.runs[:-1])
+
+
+@contextlib.contextmanager
+def _checking_runs():
+    """Run :func:`_check_runs` after every ``Phi.observe`` and ``Phi.offer``."""
+    saved = Phi.observe, Phi.offer
+
+    def checked(fn):
+        def wrapper(phi, *args):
+            fn(phi, *args)
+            _check_runs(phi)
+        return wrapper
+
+    Phi.observe, Phi.offer = (checked(fn) for fn in saved)
+    try:
+        yield
+    finally:
+        Phi.observe, Phi.offer = saved
+
+
 def _answers(state, q, k, eps):
     topics = [int(i) for i in q.topics]
     weights = [float(x) for x in q.weights]
-    got_mtts = mtts(state, q, k, eps)
-    got_sieve = sieve_streaming(state, q, k, eps)
+    with _checking_runs():
+        got_mtts = mtts(state, q, k, eps)
+        got_sieve = sieve_streaming(state, q, k, eps)
     for got, want in (
         (got_mtts, oracle_mtts(state, topics, weights, k, eps)),
         (got_sieve, oracle_sieve(state, topics, weights, k, eps)),
@@ -230,25 +268,38 @@ def test_phi_shares_empty_state_and_splits_a_prefix(small_state, small_queries):
     w = small_state.window
     phi = Phi(3, 0.1, lambda: CoverageState(w, topics, weights))
     active = sorted(w.active, key=lambda eid: -w.delta_x(eid, topics, weights))
-    e1, e2 = (w.store[eid] for eid in active[:2])
+    e1, e2, e3 = (w.store[eid] for eid in active[:3])
     phi.observe(w.delta_x(e1.eid, topics, weights))
-    empty = next(iter(phi.cands.values()))
-    assert all(c is empty for c in phi.cands.values())
-    assert phi.members == {empty: sorted(phi.cands)}
+    [(empty, js)] = phi.runs  # every guess shares one empty state
+    assert empty.S == [] and phi.full == []
+    js = list(js)
 
-    js = list(phi.members[empty])
-    s1 = phi.admit(empty, 2, e1, empty.view(e1))
+    def only(admitting):
+        return lambda j, cand: 0.0 if admitting(j, cand) else math.inf
+
+    phi.offer(e1, only(lambda j, cand: j < js[2]))
+    (s1, js1), (rest, js2) = phi.runs
     assert s1 is not empty and s1.S == [e1.eid]
-    assert empty.S == [] and empty.value == 0.0  # the refusing members stay empty
-    assert phi.members == {empty: js[2:], s1: js[:2]}
-    assert [phi.cands[j] for j in js] == [s1, s1] + [empty] * (len(js) - 2)
+    assert rest is empty and empty.S == [] and empty.value == 0.0  # the refusing guesses stay empty
+    assert (js1, js2) == (js[:2], js[2:])
 
     value = s1.value
-    assert phi.admit(s1, 2, e2, s1.view(e2)) is s1  # every member admits: in place
+    phi.offer(e2, only(lambda j, cand: cand is s1))  # every guess of s1 admits: in place
+    assert [cand for cand, _ in phi.runs] == [s1, empty]
     assert s1.S == [e1.eid, e2.eid] and s1.value > value
-    assert phi.members[s1] == js[:2]
+    assert phi.runs[0][1] == js[:2]
 
-    phi.observe(2 * phi.m)  # opened guesses join the still-empty state
-    assert all(phi.cands[j] is empty for j in phi.members[empty])
-    assert phi.members[empty] == sorted(phi.members[empty])
-    assert set(phi.cands) == {j for m in phi.members.values() for j in m}
+    phi.offer(e3, only(lambda j, cand: True), cap=-1.0)  # the first guess needs more than cap
+    assert s1.S == [e1.eid, e2.eid] and empty.S == []
+
+    phi.offer(e3, only(lambda j, cand: cand is s1))  # s1 fills and leaves the open runs
+    assert phi.full == [[s1, js[:2]]] and phi.runs == [[empty, js[2:]]]
+    assert phi.best() is s1
+
+    phi.observe(phi.guess(js[1]))  # guesses drop off full runs too ...
+    assert phi.full == [[s1, js[1:2]]]
+    assert phi.runs == [[empty, js[2:] + [js[-1] + 1]]]  # ... and opened ones join the empty state
+    phi.observe(2 * phi.m)
+    assert phi.full == [] and phi.runs[-1][0] is empty and len(phi.runs) == 1
+    assert phi.runs[-1][1][-1] > js[-1] + 1
+    _check_runs(phi)
