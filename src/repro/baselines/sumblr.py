@@ -7,14 +7,13 @@ representative per cluster as the k-element summary.
 Substitution (documented in DESIGN.md §3): the original maintains online
 tweet-cluster vectors and ranks with LexRank over author PageRank.  We
 cluster with k-means over the elements' topic vectors and pick each
-cluster's representative by centroid-closeness × log(1 + in-window
-references) — preserving the behaviour Table 5/6 measures: topically
-clustered, influence-aware, but keyword-filtered (so off-topic keyword
-matches can leak in, the paper's reported weakness of Sumblr).
+cluster's representative by centroid-closeness × an author-quality
+score standing in for author PageRank — preserving the behaviour Table
+5/6 measures: topically clustered, influence-aware, but keyword-filtered
+(so off-topic keyword matches can leak in, the paper's reported weakness
+of Sumblr).
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -46,15 +45,14 @@ def sumblr(
     state: SIRStream,
     keywords: np.ndarray,
     k: int,
-    author_score: dict[int, float] | None = None,
+    author_score: dict[int, float],
 ) -> list[int]:
     """Keyword-filtered, cluster-based k-element summary of A_t.
 
     ``author_score`` plays the role of the original's author-PageRank
     (the paper stresses Sumblr "only considers the PageRank scores of
     authors", not reference counts — which is why k-SIR beats it on
-    influence).  Falls back to in-window referrer counts when no author
-    signal is supplied.
+    influence).
     """
     w = state.window
     kw = set(int(x) for x in keywords)
@@ -80,14 +78,11 @@ def sumblr(
             eid = cands[r]
             xn = np.linalg.norm(xs[r])
             cen = float(xs[r] @ centroid / (xn * cn)) if xn > 0 and cn > 0 else 0.0
-            if author_score is not None:
-                # flatten the Zipf-skewed author quality (∈(0,1]) so the
-                # signal participates beyond the single top author —
-                # PageRank-style scores have exactly this long-tailed-
-                # but-not-degenerate spread
-                infl = 3.0 * author_score.get(eid, 0.0) ** 0.25
-            else:
-                infl = math.log1p(len(w.children.get(eid, ())))
+            # flatten the Zipf-skewed author quality (∈(0,1]) so the
+            # signal participates beyond the single top author —
+            # PageRank-style scores have exactly this long-tailed-
+            # but-not-degenerate spread
+            infl = 3.0 * author_score.get(eid, 0.0) ** 0.25
             s = cen * (1.0 + infl)
             if s > best_s:
                 best, best_s = eid, s

@@ -216,7 +216,8 @@ class CoverageState:
 def singleton_delta(
     e: Element, ctx: WindowContext, topics: Iterable[int], weights: Iterable[float]
 ) -> float:
-    """δ(e, x) computed from raw element data in O(l·d).
+    """δ(e, x) computed from R_i(e) and e's in-window children in
+    O(d·|I_t(e)|).
 
     This is the evaluation the index-less baselines (CELF,
     SieveStreaming) must perform for *every* active element — the cost
@@ -231,7 +232,7 @@ def singleton_delta(
         pe = e.tp.get(i)
         if pe is None or x <= 0:
             continue
-        total += x * lam * float(e.sigma[i].sum())
+        total += x * lam * e.R[i]
         if children is None:
             children = list(ctx.children_of(e.eid))
         inf = sum(pe * pc for c in children if (pc := c.tp.get(i)))

@@ -5,25 +5,3 @@ statistics, Table 5 user-study proxy, Table 6 quantitative analysis,
 plus the efficiency/scalability sweeps behind Figures 7–14's headline
 claims.
 """
-from repro.eval.config import DEFAULTS, EvalConfig
-from repro.eval.table3 import table3_stats
-from repro.eval.table5 import table5_user_study
-from repro.eval.table6 import table6_quantitative
-from repro.eval.efficiency import (
-    bench_queries,
-    sweep_epsilon,
-    sweep_k,
-    update_time,
-)
-
-__all__ = [
-    "DEFAULTS",
-    "EvalConfig",
-    "table3_stats",
-    "table5_user_study",
-    "table6_quantitative",
-    "bench_queries",
-    "sweep_epsilon",
-    "sweep_k",
-    "update_time",
-]

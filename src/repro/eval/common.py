@@ -29,7 +29,7 @@ def build_state(stream: SocialStream, T: int, L: int) -> SIRStream:
 
 
 def run_methods(
-    state: SIRStream, queries: list[Query], k: int, stream_popularity=None
+    state: SIRStream, queries: list[Query], k: int, stream_popularity
 ) -> pd.DataFrame:
     """Result sets of all five methods: long table (qid, method, eid).
 
@@ -39,11 +39,7 @@ def run_methods(
     author-PageRank stand-in.
     """
     rows = []
-    author = (
-        {eid: float(s) for eid, s in enumerate(stream_popularity)}
-        if stream_popularity is not None
-        else None
-    )
+    author = {eid: float(s) for eid, s in enumerate(stream_popularity)}
     for qid, q in enumerate(queries):
         per = {
             "TF-IDF": tfidf_topk(state, q.keywords, k),

@@ -12,23 +12,3 @@ Three parts:
   membership, influence, ranked lists — independently, so the tests can
   check the incremental state against them.  No program path runs them.
 """
-from repro.spark.scores_df import (
-    semantic_scores_df,
-    window_df,
-    active_df,
-    influence_scores_df,
-    delta_scores_df,
-    ranked_lists_df,
-)
-from repro.spark.metrics import coverage_scores_df, influence_metric_df
-
-__all__ = [
-    "semantic_scores_df",
-    "window_df",
-    "active_df",
-    "influence_scores_df",
-    "delta_scores_df",
-    "ranked_lists_df",
-    "coverage_scores_df",
-    "influence_metric_df",
-]

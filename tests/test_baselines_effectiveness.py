@@ -20,6 +20,12 @@ def queries(small_stream):
     return generate_queries(small_stream, 8, seed=31, t_min=240)
 
 
+@pytest.fixture(scope="module")
+def author(small_stream):
+    """Sumblr's author signal, built as ``run_methods`` builds it."""
+    return {eid: float(s) for eid, s in enumerate(small_stream.popularity)}
+
+
 def _active_words(state, eid):
     return set(int(w) for w in state.window.store[eid].words)
 
@@ -69,9 +75,9 @@ def test_div_prefers_diverse_sets(small_state, queries):
 
 
 @pytest.mark.parametrize("k", [3, 5])
-def test_sumblr_contract(small_state, queries, k):
+def test_sumblr_contract(small_state, queries, author, k):
     for q in queries:
-        res = sumblr(small_state, q.keywords, k)
+        res = sumblr(small_state, q.keywords, k, author)
         assert len(res) <= k
         assert len(set(res)) == len(res)
         assert set(res) <= small_state.window.active
@@ -80,9 +86,9 @@ def test_sumblr_contract(small_state, queries, k):
             assert kw & _active_words(small_state, eid)
 
 
-def test_sumblr_deterministic(small_state, queries):
+def test_sumblr_deterministic(small_state, queries, author):
     q = queries[0]
-    assert sumblr(small_state, q.keywords, 5) == sumblr(small_state, q.keywords, 5)
+    assert sumblr(small_state, q.keywords, 5, author) == sumblr(small_state, q.keywords, 5, author)
 
 
 @pytest.mark.parametrize("k", [3, 5, 10])
@@ -119,9 +125,9 @@ def test_topic_cosine_properties(small_state):
     assert topic_cosine(tp, np.array([9999]), np.array([1.0])) == 0.0
 
 
-def test_empty_keyword_queries(small_state):
+def test_empty_keyword_queries(small_state, author):
     assert tfidf_topk(small_state, np.array([10**6]), 5) == []
-    assert sumblr(small_state, np.array([10**6]), 5) == []
+    assert sumblr(small_state, np.array([10**6]), 5, author) == []
 
 
 def test_tfidf_index_follows_ingest_at_same_t(tiny_stream, tiny_queries):

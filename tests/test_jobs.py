@@ -1,11 +1,14 @@
-"""Smoke tests for the ``jobs/`` entrypoints: each parses its options and
-imports what it uses, so ``--help`` exits 0 without running a job or
-writing a result."""
+"""How the tree runs from ``src``: each ``jobs/`` entrypoint parses its
+options and imports what it uses, so ``--help`` exits 0 without running a
+job or writing a result; the Spark-free harness modules import without
+pyspark; and the root conftest sizes the Spark driver heap by one rule."""
 import os
 import subprocess
 import sys
 
 import pytest
+
+import conftest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 JOBS = (
@@ -14,13 +17,16 @@ JOBS = (
 )
 
 
-def _run(job: str, *args: str) -> subprocess.CompletedProcess:
+def _python(*args: str) -> subprocess.CompletedProcess:
     path = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     return subprocess.run(
-        [sys.executable, os.path.join(ROOT, "jobs", f"{job}.py"), *args],
-        capture_output=True, text=True, timeout=120, env=env,
+        [sys.executable, *args], capture_output=True, text=True, timeout=120, env=env,
     )
+
+
+def _run(job: str, *args: str) -> subprocess.CompletedProcess:
+    return _python(os.path.join(ROOT, "jobs", f"{job}.py"), *args)
 
 
 @pytest.mark.parametrize("job", JOBS)
@@ -34,3 +40,28 @@ def test_scalability_sweep_refuses_several_datasets():
     proc = _run("scalability_sweep", "--scale", "test", "--datasets", "aminer", "reddit")
     assert proc.returncode == 2
     assert "single --datasets" in proc.stderr
+
+
+def test_spark_free_modules_import_without_pyspark():
+    proc = _python("-c", (
+        "import sys, repro.eval.config, repro.eval.efficiency; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'pyspark'))"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_driver_mem_rule(monkeypatch):
+    """Unset: half of MemTotal in GiB, clamped to 2–8; unreadable: 2g."""
+    monkeypatch.delenv("SPARK_DRIVER_MEM", raising=False)
+    with open("/proc/meminfo") as f:
+        kib = int(next(ln for ln in f if ln.startswith("MemTotal:")).split()[1])
+    assert conftest._driver_mem() == f"{min(max(kib // 2**21, 2), 8)}g"
+
+    def unreadable(*args, **kwargs):
+        raise OSError("no /proc/meminfo")
+
+    monkeypatch.setattr(conftest, "open", unreadable, raising=False)
+    assert conftest._driver_mem() == "2g"
+    monkeypatch.setenv("SPARK_DRIVER_MEM", "3g")
+    assert conftest._driver_mem() == "3g"

@@ -21,7 +21,7 @@ K = 5
 @pytest.fixture(scope="module")
 def setup(spark, small_stream, small_state):
     queries = generate_queries(small_stream, 6, seed=41, t_min=SMALL_T)
-    results = run_methods(small_state, queries, K)
+    results = run_methods(small_state, queries, K, small_stream.popularity)
     tbl = spark_tables(spark, small_stream)
     active_pdf = pd.DataFrame({"eid": sorted(small_state.window.active)})
     q_pdf = pd.DataFrame(
