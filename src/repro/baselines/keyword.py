@@ -7,20 +7,25 @@
   score(q,S) = λ·Σ_{e∈S} rel(q,e) + (1−λ)·div(S) with λ = 0.3, where
   div(S) is the average pairwise TF-IDF dissimilarity.
 
-Both operate over the current active set A_t of a
-:class:`~repro.core.state.SIRStream`; documents are bags of integer
-word ids, so "TF-IDF" is computed over ids directly.
+Both answer over a :class:`KeywordIndex` of the active set A_t at one
+window snapshot, which the caller builds once with :func:`keyword_index`
+and shares with Sumblr; documents are bags of integer word ids, so
+"TF-IDF" is computed over ids directly.  A query's candidates are the
+union of its keywords' postings: idf = ln(n/(1+df)) + 1 ≥ 1 − ln 2 > 0
+and 1 + ln f ≥ 1, so exactly the elements holding a keyword have
+cosine > 0.
 """
 from __future__ import annotations
 
 import math
-import weakref
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.state import SIRStream
+from repro.core.scoring import Element
+from repro.core.window import ActiveWindow
 
-__all__ = ["tfidf_topk", "div_topk"]
+__all__ = ["KeywordIndex", "keyword_index", "tfidf_topk", "div_topk"]
 
 #: DIV's relevance/diversity trade-off λ, following [9]
 _DIV_LAM = 0.3
@@ -28,43 +33,39 @@ _DIV_LAM = 0.3
 _DIV_CANDIDATES = 200
 
 
-# state → ((t, n_ingested), index); a weak key is the state itself, so a
-# new state that reuses a dead one's id() never hits its index
-_TFIDF_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+class KeywordIndex(NamedTuple):
+    """Keyword index of A_t at one snapshot; valid until the window moves."""
+
+    elements: dict[int, Element]  # active eid → element
+    vecs: dict[int, dict[int, float]]  # eid → L2-normalised log-TF-IDF vector
+    idf: dict[int, float]  # word → ln(n/(1+df)) + 1
+    postings: dict[int, list[int]]  # word → active eids holding it; df = length
+
+    def matches(self, keywords: np.ndarray) -> list[int]:
+        """Active eids holding at least one of ``keywords``, ascending."""
+        return sorted(set().union(*(self.postings.get(int(w), ()) for w in keywords)))
 
 
-def _tfidf(state: SIRStream) -> tuple[dict[int, dict[int, float]], dict[int, float]]:
-    """Log-normalised TF-IDF vectors (L2-normalised) of active elements.
-
-    Memoised per state snapshot: query batches at one snapshot (the
-    evaluation harnesses) reuse one index instead of rebuilding it per
-    query.
-    """
-    version = (state.t, state.n_ingested)
-    hit = _TFIDF_CACHE.get(state)
-    if hit is not None and hit[0] == version:
-        return hit[1]
-    w = state.window
-    df: dict[int, int] = {}
-    for eid in w.active:
-        for word in w.store[eid].words:
-            df[int(word)] = df.get(int(word), 0) + 1
-    n = max(1, len(w.active))
-    idf = {word: math.log(n / (1 + d)) + 1.0 for word, d in df.items()}
+def keyword_index(window: ActiveWindow) -> KeywordIndex:
+    """Build the keyword index of ``window``'s active set."""
+    elements = {eid: window.store[eid] for eid in window.active}
+    postings: dict[int, list[int]] = {}
+    for eid, e in elements.items():
+        for word in e.words.tolist():
+            postings.setdefault(word, []).append(eid)
+    n = max(1, len(elements))
+    idf = {word: math.log(n / (1 + len(eids))) + 1.0 for word, eids in postings.items()}
     vecs: dict[int, dict[int, float]] = {}
-    for eid in w.active:
-        e = w.store[eid]
+    for eid, e in elements.items():
         v = {
-            int(word): (1.0 + math.log(f)) * idf[int(word)]
-            for word, f in zip(e.words, e.freqs)
+            word: (1.0 + math.log(f)) * idf[word]
+            for word, f in zip(e.words.tolist(), e.freqs.tolist())
         }
         norm = math.sqrt(sum(x * x for x in v.values()))
         if norm > 0:
             v = {word: x / norm for word, x in v.items()}
         vecs[eid] = v
-    _TFIDF_CACHE.clear()  # keep at most one snapshot cached
-    _TFIDF_CACHE[state] = (version, (vecs, idf))
-    return vecs, idf
+    return KeywordIndex(elements, vecs, idf, postings)
 
 
 def _query_vec(keywords: np.ndarray, idf: dict[int, float]) -> dict[int, float]:
@@ -79,17 +80,16 @@ def _cos(a: dict[int, float], b: dict[int, float]) -> float:
     return sum(x * b.get(word, 0.0) for word, x in a.items())
 
 
-def tfidf_topk(state: SIRStream, keywords: np.ndarray, k: int) -> list[int]:
+def tfidf_topk(index: KeywordIndex, keywords: np.ndarray, k: int) -> list[int]:
     """k most TF-IDF-cosine-relevant active elements to ``keywords``."""
-    vecs, idf = _tfidf(state)
-    q = _query_vec(keywords, idf)
+    q = _query_vec(keywords, index.idf)
     scored = sorted(
-        ((_cos(q, v), -eid) for eid, v in vecs.items()), reverse=True
+        ((_cos(q, index.vecs[eid]), -eid) for eid in index.matches(keywords)), reverse=True
     )
-    return [-neid for s, neid in scored[:k] if s > 0]
+    return [-neid for _, neid in scored[:k]]
 
 
-def div_topk(state: SIRStream, keywords: np.ndarray, k: int) -> list[int]:
+def div_topk(index: KeywordIndex, keywords: np.ndarray, k: int) -> list[int]:
     """Greedy diversity-aware top-k (λ = 0.3 following [9]).
 
     Candidates follow the publish/subscribe semantics of [9]: every
@@ -99,16 +99,11 @@ def div_topk(state: SIRStream, keywords: np.ndarray, k: int) -> list[int]:
     observes of DIV, marginally-matching off-topic elements can enter
     the result.
     """
-    vecs, idf = _tfidf(state)
-    q = _query_vec(keywords, idf)
-    rel = {eid: _cos(q, v) for eid, v in vecs.items()}
-    kw = set(int(x) for x in keywords)
-    w = state.window
-    cand = [
-        eid for eid in rel
-        if rel[eid] > 0 and kw.intersection(int(x) for x in w.store[eid].words)
-    ]
-    cand = sorted(cand, key=lambda eid: (-w.store[eid].ts, eid))[:_DIV_CANDIDATES]
+    vecs = index.vecs
+    q = _query_vec(keywords, index.idf)
+    cand = index.matches(keywords)
+    rel = {eid: _cos(q, vecs[eid]) for eid in cand}
+    cand = sorted(cand, key=lambda eid: (-index.elements[eid].ts, eid))[:_DIV_CANDIDATES]
     cand.sort()
     S: list[int] = []
     sum_rel = 0.0

@@ -1,8 +1,10 @@
 """Sumblr-style summarisation baseline [Shou et al., SIGIR'13].
 
 The paper's query-time adaptation: filter active elements containing at
-least one query keyword, cluster the candidates, and emit one
-representative per cluster as the k-element summary.
+least one query keyword (the union of the keywords' postings in the
+snapshot's :class:`~repro.baselines.keyword.KeywordIndex`), cluster the
+candidates, and emit one representative per cluster as the k-element
+summary.
 
 Substitution (documented in DESIGN.md §3): the original maintains online
 tweet-cluster vectors and ranks with LexRank over author PageRank.  We
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.state import SIRStream
+from repro.baselines.keyword import KeywordIndex
 
 __all__ = ["sumblr"]
 
@@ -42,7 +44,7 @@ def _kmeans(xs: np.ndarray, k: int) -> np.ndarray:
 
 
 def sumblr(
-    state: SIRStream,
+    index: KeywordIndex,
     keywords: np.ndarray,
     k: int,
     author_score: dict[int, float],
@@ -54,18 +56,14 @@ def sumblr(
     authors", not reference counts — which is why k-SIR beats it on
     influence).
     """
-    w = state.window
-    kw = set(int(x) for x in keywords)
-    cands = [
-        eid for eid in sorted(w.active)
-        if kw.intersection(int(x) for x in w.store[eid].words)
-    ]
+    cands = index.matches(keywords)
     if not cands:
         return []
-    z = max(max(e_tp) for eid in cands for e_tp in [w.store[eid].tp]) + 1
+    tps = [index.elements[eid].tp for eid in cands]
+    z = max(max(tp) for tp in tps) + 1
     xs = np.zeros((len(cands), z))
-    for r, eid in enumerate(cands):
-        for i, p in w.store[eid].tp.items():
+    for r, tp in enumerate(tps):
+        for i, p in tp.items():
             xs[r, i] = p
     labels = _kmeans(xs, k)
     out: list[int] = []

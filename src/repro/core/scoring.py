@@ -19,9 +19,12 @@ Example 1 (σ_2(w_9,e_2)=0.15 etc.) in ``tests/test_paper_examples.py``.
 """
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Protocol
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.core.window import ActiveWindow
 
 __all__ = [
     "Element",
@@ -106,19 +109,6 @@ def build_elements(stream) -> list[Element]:
     ]
 
 
-class WindowContext(Protocol):
-    """What the scorer needs from the stream state: I_t(e) membership and
-    the scoring constants λ (``lam``) and (1−λ)/η (``c_inf``), which the
-    window computes once."""
-
-    lam: float
-    c_inf: float
-
-    def children_of(self, eid: int) -> Iterable[Element]:
-        """Active in-window children of ``eid`` (the set I_t(e))."""
-        ...
-
-
 class CoverageState:
     """Incremental coverage state of a candidate set S for one query.
 
@@ -139,7 +129,7 @@ class CoverageState:
 
     __slots__ = ("ctx", "lam", "c_inf", "xw", "wordcov", "remprob", "S", "value")
 
-    def __init__(self, ctx: WindowContext, topics: Iterable[int], weights: Iterable[float]) -> None:
+    def __init__(self, ctx: ActiveWindow, topics: Iterable[int], weights: Iterable[float]) -> None:
         self.ctx = ctx
         self.lam = ctx.lam
         self.c_inf = ctx.c_inf
@@ -214,7 +204,7 @@ class CoverageState:
 
 
 def singleton_delta(
-    e: Element, ctx: WindowContext, topics: Iterable[int], weights: Iterable[float]
+    e: Element, ctx: ActiveWindow, topics: Iterable[int], weights: Iterable[float]
 ) -> float:
     """δ(e, x) computed from R_i(e) and e's in-window children in
     O(d·|I_t(e)|).

@@ -9,7 +9,7 @@ from __future__ import annotations
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.baselines import div_topk, rel_topk, sumblr, tfidf_topk
+from repro.baselines import div_topk, keyword_index, rel_topk, sumblr, tfidf_topk
 from repro.core import SIRStream, build_elements, mttd
 from repro.corpus.generator import Query, SocialStream
 from repro.spark.metrics import coverage_scores_df, influence_metric_df
@@ -34,17 +34,19 @@ def run_methods(
     """Result sets of all five methods: long table (qid, method, eid).
 
     Keyword methods receive the keywords, topic-space methods the query
-    vector — the paper's fair-comparison protocol (Section 5.1).
+    vector — the paper's fair-comparison protocol (Section 5.1).  The
+    keyword methods share one keyword index of the snapshot's A_t.
     ``stream_popularity`` (per-eid author quality) feeds Sumblr's
     author-PageRank stand-in.
     """
     rows = []
     author = {eid: float(s) for eid, s in enumerate(stream_popularity)}
+    index = keyword_index(state.window)
     for qid, q in enumerate(queries):
         per = {
-            "TF-IDF": tfidf_topk(state, q.keywords, k),
-            "DIV": div_topk(state, q.keywords, k),
-            "Sumblr": sumblr(state, q.keywords, k, author_score=author),
+            "TF-IDF": tfidf_topk(index, q.keywords, k),
+            "DIV": div_topk(index, q.keywords, k),
+            "Sumblr": sumblr(index, q.keywords, k, author_score=author),
             "REL": rel_topk(state, q, k),
             "k-SIR": mttd(state, q, k).eids,
         }

@@ -22,6 +22,9 @@ from repro.corpus.generator import SocialStream
 
 __all__ = ["bucket_schema", "write_buckets", "run_streaming"]
 
+#: bucket columns in ``make_element``'s argument order
+_ELEMENT_COLUMNS = ["eid", "ts", "words", "freqs", "topics", "probs", "refs"]
+
 
 def bucket_schema() -> T.StructType:
     """Schema of the bucketed element stream."""
@@ -40,36 +43,33 @@ def bucket_schema() -> T.StructType:
 
 
 def write_buckets(stream: SocialStream, path: str, L: int) -> int:
-    """Write one parquet file per bucket of length ``L``; returns #buckets.
+    """Write one parquet file per bucket of length ``L``, empty buckets
+    included; returns #buckets.
 
     Files are named by zero-padded bucket time so lexicographic ==
     chronological order for the file source.
     """
     os.makedirs(path, exist_ok=True)
-    t_end = ((stream.t_end + L - 1) // L) * L
-    n_buckets = 0
-    idx = 0
-    for b in range(L, t_end + 1, L):
-        rows = []
-        while idx < stream.n and stream.ts[idx] <= b:
-            e = idx
-            rows.append(
-                {
-                    "eid": e,
-                    "ts": int(stream.ts[e]),
-                    "bucket_t": b,
-                    "words": stream.docs[e][0].astype("int64").tolist(),
-                    "freqs": stream.docs[e][1].astype("int64").tolist(),
-                    "topics": np.asarray(stream.topic_ids[e], dtype="int64").tolist(),
-                    "probs": np.asarray(stream.topic_probs[e], dtype="float64").tolist(),
-                    "refs": stream.refs[e].astype("int64").tolist(),
-                }
-            )
-            idx += 1
-        pdf = pd.DataFrame(rows, columns=[f.name for f in bucket_schema().fields])
-        pdf.to_parquet(os.path.join(path, f"bucket-{b:012d}.parquet"), index=False)
-        n_buckets += 1
-    return n_buckets
+    bounds = range(L, ((stream.t_end + L - 1) // L) * L + 1, L)
+    cuts = np.searchsorted(stream.ts, bounds, side="right")
+    words = [w for w, _ in stream.docs]
+    freqs = [f for _, f in stream.docs]
+    lo = 0
+    for b, hi in zip(bounds, cuts):
+        pd.DataFrame(
+            {
+                "eid": np.arange(lo, hi, dtype="int64"),
+                "ts": stream.ts[lo:hi].astype("int64"),
+                "bucket_t": np.full(hi - lo, b, dtype="int64"),
+                "words": words[lo:hi],
+                "freqs": freqs[lo:hi],
+                "topics": stream.topic_ids[lo:hi],
+                "probs": stream.topic_probs[lo:hi],
+                "refs": stream.refs[lo:hi],
+            }
+        ).to_parquet(os.path.join(path, f"bucket-{b:012d}.parquet"), index=False)
+        lo = hi
+    return len(bounds)
 
 
 def run_streaming(
@@ -88,6 +88,10 @@ def run_streaming(
     is converted back to :class:`Element`s on the driver and fed to
     ``state.ingest_bucket`` in bucket order; runs with
     ``trigger(availableNow=True)`` until the directory is drained.
+
+    ``foreachBatch`` delivers at least once, so the sink skips every
+    bucket at or before ``state.t``: a replayed micro-batch, or a bucket
+    a ``state`` passed in has already ingested, changes nothing.
     """
     if state is None:
         state = SIRStream(T=T_len, L=L, lam=lam, eta=eta)
@@ -97,17 +101,12 @@ def run_streaming(
         if pdf.empty:
             return
         for b, grp in sorted(pdf.groupby("bucket_t"), key=lambda kv: kv[0]):
+            if b <= state.t:
+                continue
             # (ts, eid) is a total order: a reply in its parent's minute
             # must still be ingested after the parent it refers to
-            elems = [
-                make_element(
-                    int(r.eid), int(r.ts), np.asarray(r.words, dtype=int),
-                    np.asarray(r.freqs, dtype=float), np.asarray(r.topics, dtype=int),
-                    np.asarray(r.probs, dtype=float), np.asarray(r.refs, dtype=int), phi,
-                )
-                for r in grp.sort_values(["ts", "eid"]).itertuples()
-            ]
-            state.ingest_bucket(elems, int(b))
+            rows = grp.sort_values(["ts", "eid"])[_ELEMENT_COLUMNS].itertuples(index=False)
+            state.ingest_bucket([make_element(*r, phi) for r in rows], int(b))
 
     reader = (
         spark.readStream.schema(bucket_schema())

@@ -1,8 +1,8 @@
 """Synthetic topic model: the black-box oracle of Section 3.1.
 
 A :class:`TopicModel` provides exactly what the paper requires from
-LDA/BTM — ``p_i(w)`` (topic-word probability, many zeros) and keyword →
-query-vector inference — without a trained model.  Each topic is a Zipf
+LDA/BTM — ``p_i(w)`` (``phi[i, w]``: topic-word probability, many zeros)
+and keyword → query-vector inference — without a trained model.  Each topic is a Zipf
 distribution over a random support of the vocabulary, so the two skew
 properties the paper's pruning relies on hold by construction:
 
@@ -65,15 +65,6 @@ class TopicModel:
             phi[i, words] = base
         self.phi = phi
         self._col_sum = phi.sum(axis=0)  # for word->topic responsibilities
-
-    # -- oracle interface ------------------------------------------------
-    def p_w(self, topic: int, word: int) -> float:
-        """``p_i(w)`` — probability of ``word`` under ``topic``."""
-        return float(self.phi[topic, word])
-
-    def topics_of_word(self, word: int) -> np.ndarray:
-        """Topic ids with non-zero probability for ``word``."""
-        return np.nonzero(self.phi[:, word])[0]
 
     # -- query inference -------------------------------------------------
     def infer(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

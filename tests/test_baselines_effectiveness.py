@@ -7,17 +7,21 @@ clustering behaviour, determinism.
 import numpy as np
 import pytest
 
-from repro.baselines import div_topk, rel_topk, sumblr, tfidf_topk
+from repro.baselines import div_topk, keyword_index, rel_topk, sumblr, tfidf_topk
 from repro.baselines.rel import topic_cosine
-from repro.core import SIRStream, build_elements
-from repro.corpus import AMINER, generate_queries
-
-from stream_fixtures import TINY_L, TINY_T
+from repro.corpus import generate_queries
 
 
 @pytest.fixture(scope="module")
 def queries(small_stream):
     return generate_queries(small_stream, 8, seed=31, t_min=240)
+
+
+@pytest.fixture(scope="module")
+def index(small_state):
+    """The keyword index the keyword baselines share, built as
+    ``run_methods`` builds it."""
+    return keyword_index(small_state.window)
 
 
 @pytest.fixture(scope="module")
@@ -31,9 +35,9 @@ def _active_words(state, eid):
 
 
 @pytest.mark.parametrize("k", [3, 5, 10])
-def test_tfidf_contract(small_state, queries, k):
+def test_tfidf_contract(small_state, index, queries, k):
     for q in queries:
-        res = tfidf_topk(small_state, q.keywords, k)
+        res = tfidf_topk(index, q.keywords, k)
         assert len(res) <= k
         assert len(set(res)) == len(res)
         assert set(res) <= small_state.window.active
@@ -43,9 +47,9 @@ def test_tfidf_contract(small_state, queries, k):
             assert kw & _active_words(small_state, eid)
 
 
-def test_tfidf_ranks_keyword_matches_first(small_state, queries):
+def test_tfidf_ranks_keyword_matches_first(small_state, index, queries):
     q = queries[0]
-    res = tfidf_topk(small_state, q.keywords, 5)
+    res = tfidf_topk(index, q.keywords, 5)
     if res:
         # results beat a random non-matching element by construction
         kw = set(int(w) for w in q.keywords)
@@ -54,30 +58,30 @@ def test_tfidf_ranks_keyword_matches_first(small_state, queries):
 
 
 @pytest.mark.parametrize("k", [3, 5])
-def test_div_contract(small_state, queries, k):
+def test_div_contract(small_state, index, queries, k):
     for q in queries:
-        res = div_topk(small_state, q.keywords, k)
+        res = div_topk(index, q.keywords, k)
         assert len(res) <= k
         assert len(set(res)) == len(res)
         assert set(res) <= small_state.window.active
 
 
-def test_div_prefers_diverse_sets(small_state, queries):
+def test_div_prefers_diverse_sets(small_state, index, queries):
     """DIV's set differs from plain TF-IDF top-k for some query (λ=0.3
     weighs diversity heavily)."""
     diffs = 0
     for q in queries:
-        a = set(tfidf_topk(small_state, q.keywords, 5))
-        b = set(div_topk(small_state, q.keywords, 5))
+        a = set(tfidf_topk(index, q.keywords, 5))
+        b = set(div_topk(index, q.keywords, 5))
         if a and b and a != b:
             diffs += 1
     assert diffs >= 1
 
 
 @pytest.mark.parametrize("k", [3, 5])
-def test_sumblr_contract(small_state, queries, author, k):
+def test_sumblr_contract(small_state, index, queries, author, k):
     for q in queries:
-        res = sumblr(small_state, q.keywords, k, author)
+        res = sumblr(index, q.keywords, k, author)
         assert len(res) <= k
         assert len(set(res)) == len(res)
         assert set(res) <= small_state.window.active
@@ -86,9 +90,9 @@ def test_sumblr_contract(small_state, queries, author, k):
             assert kw & _active_words(small_state, eid)
 
 
-def test_sumblr_deterministic(small_state, queries, author):
+def test_sumblr_deterministic(index, queries, author):
     q = queries[0]
-    assert sumblr(small_state, q.keywords, 5, author) == sumblr(small_state, q.keywords, 5, author)
+    assert sumblr(index, q.keywords, 5, author) == sumblr(index, q.keywords, 5, author)
 
 
 @pytest.mark.parametrize("k", [3, 5, 10])
@@ -125,28 +129,7 @@ def test_topic_cosine_properties(small_state):
     assert topic_cosine(tp, np.array([9999]), np.array([1.0])) == 0.0
 
 
-def test_empty_keyword_queries(small_state, author):
-    assert tfidf_topk(small_state, np.array([10**6]), 5) == []
-    assert sumblr(small_state, np.array([10**6]), 5, author) == []
+def test_empty_keyword_queries(index, author):
+    assert tfidf_topk(index, np.array([10**6]), 5) == []
+    assert sumblr(index, np.array([10**6]), 5, author) == []
 
-
-def test_tfidf_index_follows_ingest_at_same_t(tiny_stream, tiny_queries):
-    """A second bucket at the same t changes A_t, so the memoised TF-IDF
-    index must be rebuilt, not reused."""
-    els = build_elements(tiny_stream)
-    t = int(tiny_stream.t_end)
-    kw = tiny_queries[0].keywords
-
-    def fresh():
-        return SIRStream(T=TINY_T, L=TINY_L, lam=AMINER.lam, eta=AMINER.eta)
-
-    whole = fresh()
-    whole.ingest_bucket(els, t)
-    expected = tfidf_topk(whole, kw, 5)
-    split = fresh()
-    half = len(els) // 2
-    split.ingest_bucket(els[:half], t)
-    tfidf_topk(split, kw, 5)  # memoises the half-stream index
-    split.ingest_bucket(els[half:], t)
-    assert split.window.active == whole.window.active
-    assert expected and tfidf_topk(split, kw, 5) == expected

@@ -43,13 +43,6 @@ def test_deterministic_in_seed():
     assert not np.array_equal(a.phi, c.phi)
 
 
-def test_topics_of_word_consistent():
-    tm = TopicModel(6, 300, seed=4)
-    for w in range(0, 300, 37):
-        ids = tm.topics_of_word(w)
-        assert all(tm.p_w(int(i), w) > 0 for i in ids)
-
-
 def test_infer_normalised_and_sparse():
     tm = TopicModel(30, 2000, seed=5)
     g = np.random.default_rng(0)
@@ -71,7 +64,7 @@ def test_infer_single_topic_word():
     unique_words = np.nonzero(counts == 1)[0]
     assert len(unique_words) > 0
     w = int(unique_words[0])
-    expected = int(tm.topics_of_word(w)[0])
+    expected = int(np.nonzero(tm.phi[:, w])[0][0])
     ids, wts = tm.infer(np.array([w]))
     assert ids.tolist() == [expected]
     assert wts[0] == pytest.approx(1.0)
