@@ -23,7 +23,7 @@ def main() -> None:
         queries = queries_for(stream, args.n_queries, args)
         head = (
             f"== {name}: n_active={state.window.n_active} t={state.t} "
-            f"T={state.T} z={stream.model.z} ==\n"
+            f"T={state.window.T} z={stream.model.z} ==\n"
         )
         default = bench_queries(state, queries)
         upd = update_time(state)

@@ -7,8 +7,8 @@ copy of δ: it lives only in ``ActiveWindow.delta``, their one writer.
 ``Traversal`` implements the two access operations the query algorithms
 need — ``RL_i.first`` and ``RL_i.next`` — with the paper's cross-list
 "visited" marking so each element is retrieved at most once per query.
-The heads that UB(x) reads are kept for the pop that follows it, so
-each list head is read once per pop.
+Each list's head is traversal state: a pop re-reads only the lists
+the popped element headed, so UB(x) reads no list.
 """
 from __future__ import annotations
 
@@ -53,67 +53,57 @@ class RankedLists:
 class Traversal:
     """Query-time sequential traversal of the ranked lists.
 
-    Lists are read-only snapshots during a query.  ``head(i)`` returns
-    the next *unvisited* tuple of RL_i; ``pop_best(weights)`` pops the
-    element maximising x_i·δ_i(e^{(i)}) across lists and marks every
-    copy of it visited (lazily — other cursors skip it on read).
-    ``upper_bound()`` and ``pop_best()`` share one read of the heads,
-    which a pop invalidates.
+    Lists are read-only snapshots during a query.  Each queried list's
+    head — (x_i·δ_i, eid) of its first *unvisited* tuple, or None once
+    it is exhausted — is traversal state, read once when the traversal
+    is built.  ``pop_best()`` pops the element maximising
+    x_i·δ_i(e^{(i)}) across lists, marks it visited and re-reads only
+    the lists it headed: no other list's head can change.
     """
 
     def __init__(self, rl: RankedLists, topics: Iterable[int], weights: Iterable[float]):
-        self.rl = rl
-        self.topics = [int(i) for i in topics]
-        self.weights = {int(i): float(x) for i, x in zip(topics, weights)}
-        self._cursor = {i: 0 for i in self.topics}
+        self._lists = [(rl.lists.get(i, ()), x) for i, x in zip(topics, weights)]
+        self._cursor = [0] * len(self._lists)
         self.visited: set[int] = set()
         self.n_retrieved = 0
-        self._heads: list[tuple[float, int, int]] | None = None
+        self._heads = [self._read(j) for j in range(len(self._lists))]
 
-    def head(self, topic: int) -> tuple[int, float] | None:
-        """(eid, δ_i) of the next unvisited tuple in RL_i, or None."""
-        lst = self.rl.lists.get(topic, ())
-        c = self._cursor[topic]
+    def _read(self, j: int) -> tuple[float, int] | None:
+        """Move list j's cursor past visited tuples; → (x_i·δ_i, eid) or None."""
+        lst, x = self._lists[j]
+        c = self._cursor[j]
         while c < len(lst) and lst[c][1] in self.visited:
             c += 1
-        self._cursor[topic] = c
-        if c >= len(lst):
+        self._cursor[j] = c
+        if c == len(lst):
             return None
         negd, eid = lst[c]
-        return eid, -negd
-
-    def _read_heads(self) -> list[tuple[float, int, int]]:
-        """(x_i·δ_i, eid, i) of each non-exhausted list's head, in topic
-        order; read once and reused until the next pop moves a cursor."""
-        if self._heads is None:
-            heads = []
-            for i in self.topics:
-                h = self.head(i)
-                if h is not None:
-                    heads.append((self.weights[i] * h[1], h[0], i))
-            self._heads = heads
-        return self._heads
+        return x * -negd, eid
 
     def upper_bound(self) -> float:
-        """UB(x) = Σ_i x_i·δ_i(e^{(i)}) over non-exhausted lists."""
+        """UB(x) = Σ_i x_i·δ_i(e^{(i)}) over non-exhausted lists, in topic order."""
         ub = 0.0
-        for v, _, _ in self._read_heads():
-            ub += v
+        for h in self._heads:
+            if h is not None:
+                ub += h[0]
         return ub
 
-    def pop_best(self) -> tuple[int, int] | None:
-        """Pop the element with maximum x_i·δ_i(e^{(i)}); → (eid, i*)."""
-        best, best_i, best_v = None, None, -1.0
-        for v, eid, i in self._read_heads():
-            if v > best_v:
-                best, best_i, best_v = eid, i, v
-        self._heads = None
+    def pop_best(self) -> int | None:
+        """Pop the element with maximum x_i·δ_i(e^{(i)}), the first topic
+        on a tie; → its eid, or None once every list is exhausted."""
+        best = None
+        for h in self._heads:
+            if h is not None and (best is None or h[0] > best[0]):
+                best = h
         if best is None:
             return None
-        self.visited.add(best)
-        self._cursor[best_i] += 1
+        eid = best[1]
+        self.visited.add(eid)
         self.n_retrieved += 1
-        return best, best_i
+        for j, h in enumerate(self._heads):
+            if h is not None and h[1] == eid:
+                self._heads[j] = self._read(j)
+        return eid
 
     def next_above(self, bound: float) -> int | None:
         """Pop the next eid while UB(x) ≥ ``bound`` and UB(x) > ``_EPS``; else None.
@@ -125,5 +115,4 @@ class Traversal:
         ub = self.upper_bound()
         if ub < bound or ub <= _EPS:
             return None
-        popped = self.pop_best()
-        return None if popped is None else popped[0]
+        return self.pop_best()

@@ -26,9 +26,8 @@ class SIRStream:
     """
 
     def __init__(self, T: int, L: int, lam: float, eta: float):
-        self.T, self.L = int(T), int(L)
+        self.T, self.L = int(T), int(L)  # perfbench's Table-6 check reads T
         self.window = ActiveWindow(T, lam, eta)
-        self.rl = self.window.rl
         self.lam, self.eta = float(lam), float(eta)
         self._pending: list[Element] = []
         self._pos = 0

@@ -84,7 +84,7 @@ def effectiveness_metrics(
         t["elem_topics"], t["tokens"], active, queries_df, results_df
     ).toPandas()
     inf = influence_metric_df(
-        t["elems"], t["refs"], active, results_df, state.t, state.T, k
+        t["elems"], t["refs"], active, results_df, state.t, state.window.T, k
     ).toPandas()
     base = pd.MultiIndex.from_product(
         [range(len(queries)), METHODS], names=["qid", "method"]

@@ -106,12 +106,12 @@ def test_determinism():
 
 def test_queries_do_not_mutate_state(tiny_state, tiny_queries):
     """Query processing is read-only over window + ranked lists."""
-    rl_before = {i: list(lst) for i, lst in tiny_state.rl.lists.items()}
+    rl_before = {i: list(lst) for i, lst in tiny_state.window.rl.lists.items()}
     active_before = set(tiny_state.window.active)
     for q in tiny_queries[:4]:
         mtts(tiny_state, q, 5)
         mttd(tiny_state, q, 5)
-    assert {i: list(lst) for i, lst in tiny_state.rl.lists.items()} == rl_before
+    assert {i: list(lst) for i, lst in tiny_state.window.rl.lists.items()} == rl_before
     assert tiny_state.window.active == active_before
 
 
@@ -148,8 +148,8 @@ def test_traversal_snapshot_isolation():
         rl.upsert(0, eid, d)
     t1 = Traversal(rl, [0], [1.0])
     t2 = Traversal(rl, [0], [1.0])
-    assert t1.pop_best() == (1, 0)
-    assert t2.pop_best() == (1, 0)  # unaffected by t1's visited set
+    assert t1.pop_best() == 1
+    assert t2.pop_best() == 1  # unaffected by t1's visited set
 
 
 def test_mtts_value_matches_bound_shape(small_state, small_queries):

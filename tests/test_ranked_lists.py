@@ -57,8 +57,8 @@ def test_incremental_equals_rebuild_every_bucket():
         for eid in w.active:
             for i, d in w.delta[eid].items():
                 rebuilt.upsert(i, eid, d)
-        for i in set(rebuilt.lists) | set(st_.rl.lists):
-            assert st_.rl.items(i) == rebuilt.items(i), f"t={b} topic={i}"
+        for i in set(rebuilt.lists) | set(st_.window.rl.lists):
+            assert st_.window.rl.items(i) == rebuilt.items(i), f"t={b} topic={i}"
 
 
 def test_score_lookup():
@@ -100,10 +100,10 @@ def test_traversal_pop_order_single_topic():
     rl = _rl_from([(0, 1, 3.0), (0, 2, 2.0), (0, 3, 1.0)])
     tr = Traversal(rl, [0], [1.0])
     assert tr.upper_bound() == 3.0
-    assert tr.pop_best() == (1, 0)
+    assert tr.pop_best() == 1
     assert tr.upper_bound() == 2.0
-    assert tr.pop_best() == (2, 0)
-    assert tr.pop_best() == (3, 0)
+    assert tr.pop_best() == 2
+    assert tr.pop_best() == 3
     assert tr.pop_best() is None
 
 
@@ -112,7 +112,7 @@ def test_traversal_weighted_merge():
     rl = _rl_from([(0, 1, 3.0), (0, 2, 1.0), (1, 3, 2.0), (1, 4, 1.9)])
     tr = Traversal(rl, [0, 1], [0.5, 1.0])
     # scores: e3→2.0, e4→1.9, e1→1.5, e2→0.5
-    order = [tr.pop_best()[0] for _ in range(4)]
+    order = [tr.pop_best() for _ in range(4)]
     assert order == [3, 4, 1, 2]
 
 
@@ -120,10 +120,10 @@ def test_traversal_visited_across_lists():
     """An element popped from one list is skipped in every other list."""
     rl = _rl_from([(0, 1, 3.0), (1, 1, 2.5), (1, 2, 1.0)])
     tr = Traversal(rl, [0, 1], [1.0, 1.0])
-    assert tr.pop_best() == (1, 0)
-    # e1's tuple in RL_1 must now be invisible
-    assert tr.head(1) == (2, 1.0)
-    assert tr.pop_best() == (2, 1)
+    assert tr.pop_best() == 1
+    # e1's tuple in RL_1 must now be invisible: UB(x) reads e2's there
+    assert tr.upper_bound() == 1.0
+    assert tr.pop_best() == 2
     assert tr.pop_best() is None
 
 
@@ -139,7 +139,7 @@ def test_traversal_empty_topic():
     rl = _rl_from([(0, 1, 1.0)])
     tr = Traversal(rl, [0, 5], [0.5, 0.5])
     assert tr.upper_bound() == pytest.approx(0.5)
-    assert tr.pop_best() == (1, 0)
+    assert tr.pop_best() == 1
     assert tr.pop_best() is None
 
 
@@ -170,8 +170,8 @@ def test_traversal_is_total_and_unique(data):
     tr = Traversal(rl, [0, 1, 2, 3], [0.25] * 4)
     eids = set()
     while (p := tr.pop_best()) is not None:
-        assert p[0] not in eids  # each element retrieved at most once
-        eids.add(p[0])
+        assert p not in eids  # each element retrieved at most once
+        eids.add(p)
     present = {eid for i in range(4) for eid, _ in rl.items(i)}
     assert eids == present  # ... and at least once
 
@@ -199,12 +199,26 @@ def _ub_read_directly(rl, topics, weights, popped):
     return ub
 
 
+def _pops_read_directly(rl, topics, weights):
+    """The pop sequence read straight from the lists: each pop takes the
+    largest x_i·δ_i over the unpopped tuples, the first topic on a tie."""
+    popped = []
+    while True:
+        best = None
+        for i, x in zip(topics, weights):
+            rest = [(x * d, eid) for eid, d in rl.items(i) if eid not in popped]
+            if rest and (best is None or rest[0][0] > best[0]):
+                best = rest[0]
+        if best is None:
+            return popped
+        popped.append(best[1])
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_upper_bound_calls_do_not_change_pops(data):
-    """pop_best reuses the heads upper_bound() read; the pops are the same
-    with no, one or two upper_bound() calls before each, and a pop with
-    no upper_bound() before it still takes the best head."""
+    """The pops follow the lists read from scratch, and are the same with
+    no, one or two upper_bound() calls before each."""
     entries = data.draw(
         st.lists(
             st.tuples(st.integers(0, 3), st.integers(0, 15), st.sampled_from([0.5, 1.0, 2.0, 3.5])),
@@ -216,20 +230,21 @@ def test_upper_bound_calls_do_not_change_pops(data):
     topics = [0, 1, 2, 3]
     n_eids = len({eid for _, eid, _ in entries})
     plain, _ = _pops(Traversal(rl, topics, weights), [0], n_eids)
+    assert plain == _pops_read_directly(rl, topics, weights)
     for pattern in ([1], [2], [0, 1, 2], [2, 0]):
         pops, ubs = _pops(Traversal(rl, topics, weights), pattern, n_eids)
         assert pops == plain
         for n, calls in enumerate(ubs):
-            want = _ub_read_directly(rl, topics, weights, {eid for eid, _ in pops[:n]})
+            want = _ub_read_directly(rl, topics, weights, set(pops[:n]))
             assert calls == [want] * len(calls)
 
 
 def test_pop_best_without_upper_bound():
     rl = _rl_from([(0, 1, 3.0), (0, 2, 2.0), (1, 2, 4.0), (1, 3, 1.0)])
     tr = Traversal(rl, [0, 1], [1.0, 0.5])
-    assert tr.pop_best() == (1, 0)  # 3.0 > 0.5·4.0
+    assert tr.pop_best() == 1  # 3.0 > 0.5·4.0
     assert tr.upper_bound() == 4.0  # 2.0 + 0.5·4.0
-    assert tr.pop_best() == (2, 0)  # a tie goes to the first topic
-    assert tr.pop_best() == (3, 1)  # e2's copy in RL_1 was visited: skipped
+    assert tr.pop_best() == 2  # a tie goes to the first topic
+    assert tr.pop_best() == 3  # e2's copy in RL_1 was visited: skipped
     assert tr.upper_bound() == 0.0
     assert tr.pop_best() is None

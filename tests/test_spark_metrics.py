@@ -128,7 +128,7 @@ def test_coverage_vs_oracle(setup):
 
 def test_influence_vs_oracle(setup):
     st = setup["state"]
-    t, T = st.t, st.T
+    t, T = st.t, st.window.T
     got = influence_metric_df(
         setup["tbl"]["elems"], setup["tbl"]["refs"], setup["active_df"],
         setup["results_df"], t, T, K,
@@ -178,6 +178,6 @@ def test_influence_nonnegative(setup):
     st = setup["state"]
     got = influence_metric_df(
         setup["tbl"]["elems"], setup["tbl"]["refs"], setup["active_df"],
-        setup["results_df"], st.t, st.T, K,
+        setup["results_df"], st.t, st.window.T, K,
     ).toPandas()
     assert (got["influence"] >= 0).all()

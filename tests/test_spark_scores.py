@@ -213,7 +213,7 @@ def test_ranked_list_order_matches_driver(tbl, small_state):
     for r in ranked:
         by_topic.setdefault(r["topic"], []).append(r["eid"])
     for topic, eids in by_topic.items():
-        driver = [eid for eid, _ in small_state.rl.items(topic)]
+        driver = [eid for eid, _ in small_state.window.rl.items(topic)]
         assert eids == driver, f"topic {topic}"
 
 

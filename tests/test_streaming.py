@@ -63,9 +63,9 @@ def test_same_delta_scores(batch_state, stream_state):
 
 
 def test_same_ranked_lists(batch_state, stream_state):
-    topics = set(batch_state.rl.lists) | set(stream_state.rl.lists)
+    topics = set(batch_state.window.rl.lists) | set(stream_state.window.rl.lists)
     for i in topics:
-        assert batch_state.rl.items(i) == stream_state.rl.items(i), f"topic {i}"
+        assert batch_state.window.rl.items(i) == stream_state.window.rl.items(i), f"topic {i}"
 
 
 def test_same_children(batch_state, stream_state):

@@ -41,6 +41,6 @@ def test_resumed_stream_equals_batch(spark, stream, tmp_path):
     assert resumed.n_ingested == batch.n_ingested == stream.n
     assert resumed.window.active == batch.window.active
     assert resumed.window.delta == batch.window.delta
-    topics = set(batch.rl.lists) | set(resumed.rl.lists)
+    topics = set(batch.window.rl.lists) | set(resumed.window.rl.lists)
     for i in topics:
-        assert resumed.rl.items(i) == batch.rl.items(i), f"topic {i}"
+        assert resumed.window.rl.items(i) == batch.window.rl.items(i), f"topic {i}"

@@ -72,7 +72,7 @@ def test_delta_matches_definition_at_final_bucket(stream, tiny_state):
 
 def test_ranked_lists_contain_exactly_active_topics(tiny_state):
     w = tiny_state.window
-    rl = tiny_state.rl
+    rl = tiny_state.window.rl
     expected = {(i, eid) for eid in w.active for i in w.store[eid].tp}
     got = {(i, eid) for i, lst in rl.lists.items() for _, eid in lst}
     assert got == expected
