@@ -11,31 +11,20 @@ import pytest
 from repro.eval.efficiency import bench_queries, sweep_epsilon
 
 
-@pytest.mark.parametrize("fixture", ["bench_aminer", "bench_reddit", "bench_twitter"])
-def test_quality_vs_celf(benchmark, fixture, request):
-    stream, state = request.getfixturevalue(fixture)
-    queries = request.getfixturevalue(fixture.replace("bench_", "") + "_queries")
-    df = benchmark.pedantic(
-        lambda: bench_queries(state, queries), rounds=1, iterations=1
-    )
-    by = df.set_index("algorithm")
+@pytest.mark.parametrize("name", ["aminer", "reddit", "twitter"])
+def test_quality_vs_celf(bench, name):
+    _, state, queries = bench(name)
+    by = bench_queries(state, queries).set_index("algorithm")
     assert by.loc["MTTD", "score_vs_celf"] >= 0.99
     assert by.loc["MTTS", "score_vs_celf"] >= 0.95
     assert by.loc["Top-k Repr", "avg_score"] <= by.loc["MTTD", "avg_score"]
     assert by.loc["MTTD", "eval_ratio"] <= 0.05  # ≥95 % of evaluations pruned
-    benchmark.extra_info.update(
-        {a: dict(r) for a, r in by[["avg_ms", "score_vs_celf", "eval_ratio"]].iterrows()}
-    )
 
 
-def test_quality_robust_in_eps(benchmark, bench_reddit, reddit_queries):
+def test_quality_robust_in_eps(bench):
     """Paper: ≤5 %/1 % loss even at ε = 0.5 (MTTS/MTTD vs CELF)."""
-    _, state = bench_reddit
-    df = benchmark.pedantic(
-        lambda: sweep_epsilon(state, reddit_queries[:10], eps_grid=(0.1, 0.3, 0.5)),
-        rounds=1,
-        iterations=1,
-    )
+    _, state, queries = bench("reddit")
+    df = sweep_epsilon(state, queries[:10], eps_grid=(0.1, 0.3, 0.5))
     worst_mttd = df[df.algorithm == "MTTD"]["score_vs_celf"].min()
     worst_mtts = df[df.algorithm == "MTTS"]["score_vs_celf"].min()
     # paper's Fig 8 claim is ≤5 % loss even at ε = 0.5.  At ε ≤ 0.3 we
@@ -49,5 +38,3 @@ def test_quality_robust_in_eps(benchmark, bench_reddit, reddit_queries):
     mild = df[df.eps <= 0.3]
     assert mild[mild.algorithm == "MTTD"]["score_vs_celf"].min() >= 0.99
     assert mild[mild.algorithm == "MTTS"]["score_vs_celf"].min() >= 0.95
-    benchmark.extra_info["worst_mttd_vs_celf"] = float(worst_mttd)
-    benchmark.extra_info["worst_mtts_vs_celf"] = float(worst_mtts)

@@ -1,21 +1,16 @@
-"""Table 3 regeneration benchmark: Spark dataset-statistics pipeline.
-
-Times ``table3_stats`` (distinct-vocabulary + token/reference
-aggregations through Catalyst) over each bench stream and attaches the
-computed statistics via extra_info so a bench run reproduces the table.
+"""Table 3 at bench scale: the Spark dataset-statistics pipeline
+(distinct vocabulary, token and reference aggregations through Catalyst)
+reproduces each profile's size, average length and average references.
 """
 import pytest
 
 from repro.eval.table3 import table3_stats
 
 
-@pytest.mark.parametrize("fixture", ["bench_aminer", "bench_reddit", "bench_twitter"])
-def test_table3(benchmark, fixture, request, spark):
-    stream, _ = request.getfixturevalue(fixture)
-    row = benchmark.pedantic(
-        lambda: table3_stats(spark, stream), rounds=2, iterations=1, warmup_rounds=1
-    )
+@pytest.mark.parametrize("name", ["aminer", "reddit", "twitter"])
+def test_table3(bench, name, spark):
+    stream, _, _ = bench(name)
+    row = table3_stats(spark, stream)
     assert row["n_elements"] == stream.n
     assert row["avg_length"] == pytest.approx(stream.profile.avg_len, rel=0.25)
     assert row["avg_references"] == pytest.approx(stream.profile.avg_refs, rel=0.3)
-    benchmark.extra_info.update(row)

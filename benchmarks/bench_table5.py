@@ -1,8 +1,7 @@
-"""Table 5 regeneration benchmark: the user-study proxy panel.
+"""Table 5 at bench scale: the user-study proxy panel.
 
 Runs the full harness (20 topical queries × 5 methods × Spark metric
-pipelines) once per dataset and attaches the resulting 1–5 scores via
-extra_info.  Asserted shape (the part of Table 5 a machine proxy can
+pipelines) once per dataset.  Asserted shape (the part of Table 5 a machine proxy can
 reproduce — see EXPERIMENTS.md): k-SIR wins *impact* outright with the
 other influence-aware method (Sumblr) second, and k-SIR beats Sumblr on
 representativeness.  The proxy ranks keyword methods higher on
@@ -17,14 +16,10 @@ from repro.eval.common import METHODS
 from repro.eval.table5 import table5_user_study
 
 
-@pytest.mark.parametrize("fixture", ["bench_aminer", "bench_reddit", "bench_twitter"])
-def test_table5(benchmark, fixture, request, spark):
-    stream, state = request.getfixturevalue(fixture)
-    df = benchmark.pedantic(
-        lambda: table5_user_study(spark, stream, state, n_queries=20, k=5),
-        rounds=1,
-        iterations=1,
-    )
+@pytest.mark.parametrize("name", ["aminer", "reddit", "twitter"])
+def test_table5(bench, name, spark):
+    stream, state, _ = bench(name)
+    df = table5_user_study(spark, stream, state, n_queries=20, k=5)
     rep = df[df.aspect == "Represent."].iloc[0]
     imp = df[df.aspect == "Impact"].iloc[0]
     # impact: k-SIR first, Sumblr (the only other influence-aware
@@ -33,5 +28,3 @@ def test_table5(benchmark, fixture, request, spark):
     assert imp["Sumblr"] >= max(imp[m] for m in ("TF-IDF", "DIV", "REL")) - 0.1
     # representativeness: k-SIR well above the summariser baseline
     assert rep["k-SIR"] > rep["Sumblr"]
-    for _, row in df.iterrows():
-        benchmark.extra_info[f"{row['aspect']}"] = {m: row[m] for m in METHODS}

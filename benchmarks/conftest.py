@@ -1,11 +1,13 @@
-"""Benchmark fixtures: SF≈0.1-scale streams shared across bench modules.
+"""Bench-scale checks of the paper's shapes: one stream per profile.
 
-Sizes are chosen so the whole ``pytest benchmarks/ --benchmark-only``
-run finishes in minutes while active windows are large enough (≈10⁴
-elements) for the paper's efficiency shape — ranked-list pruning vs
-full-scan baselines — to be visible.  The ``jobs/`` entrypoints run the
-same harnesses at larger scale.
+``pytest benchmarks/ -q`` asserts the shapes of Tables 3, 5 and 6 and of
+the quality claims of Figs 8/10 on SF≈0.1 streams, whose active windows
+(≈10⁴ elements) are large enough for ranked-list pruning to show.  It
+times nothing: the ``jobs/`` entrypoints regenerate the tables and the
+query/update times (via ``results/``), and perfbench times the layers.
 """
+import functools
+
 import pytest
 
 from repro.corpus import PROFILES, generate_queries, generate_stream
@@ -16,42 +18,17 @@ from repro.eval.config import DEFAULTS
 BENCH = {"aminer": 12_000, "reddit": 30_000, "twitter": 30_000}
 
 
-def _make(name: str):
-    stream = generate_stream(
-        PROFILES[name], n_elements=BENCH[name], z=DEFAULTS.z,
-        duration=DEFAULTS.duration, seed=0,
-    )
-    return stream, build_state(stream, DEFAULTS.T, DEFAULTS.L)
-
-
 @pytest.fixture(scope="session")
-def bench_reddit():
-    return _make("reddit")
+def bench():
+    """Profile name → (stream, state, 20 queries), each built once per session."""
 
+    @functools.cache
+    def make(name: str):
+        stream = generate_stream(
+            PROFILES[name], n_elements=BENCH[name], z=DEFAULTS.z,
+            duration=DEFAULTS.duration, seed=0,
+        )
+        state = build_state(stream, DEFAULTS.T, DEFAULTS.L)
+        return stream, state, generate_queries(stream, 20, seed=3, t_min=DEFAULTS.T)
 
-@pytest.fixture(scope="session")
-def bench_aminer():
-    return _make("aminer")
-
-
-@pytest.fixture(scope="session")
-def bench_twitter():
-    return _make("twitter")
-
-
-@pytest.fixture(scope="session")
-def reddit_queries(bench_reddit):
-    stream, _ = bench_reddit
-    return generate_queries(stream, 20, seed=3, t_min=DEFAULTS.T)
-
-
-@pytest.fixture(scope="session")
-def aminer_queries(bench_aminer):
-    stream, _ = bench_aminer
-    return generate_queries(stream, 20, seed=3, t_min=DEFAULTS.T)
-
-
-@pytest.fixture(scope="session")
-def twitter_queries(bench_twitter):
-    stream, _ = bench_twitter
-    return generate_queries(stream, 20, seed=3, t_min=DEFAULTS.T)
+    return make

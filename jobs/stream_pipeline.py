@@ -11,6 +11,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from _common import generate_for, parser, queries_for, save, session
 from repro.core import mttd, mtts
 from repro.eval.config import DEFAULTS
+from repro.eval.efficiency import update_time
 from repro.spark.streaming import run_streaming, write_buckets
 
 
@@ -28,7 +29,7 @@ def main() -> None:
     lines = [
         f"dataset={name} buckets={n_buckets} t={state.t} "
         f"n_active={state.window.n_active} "
-        f"update_us_per_elem={1e6 * state.update_seconds / max(1, state.n_ingested):.1f}"
+        f"update_us_per_elem={update_time(state)['update_us_per_element']:.1f}"
     ]
     for q in queries_for(stream, 10, args):
         a = mtts(state, q, DEFAULTS.k)

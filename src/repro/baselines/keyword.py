@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro.core.query import check_k
 from repro.core.scoring import Element
 from repro.core.window import ActiveWindow
 
@@ -82,6 +83,7 @@ def _cos(a: dict[int, float], b: dict[int, float]) -> float:
 
 def tfidf_topk(index: KeywordIndex, keywords: np.ndarray, k: int) -> list[int]:
     """k most TF-IDF-cosine-relevant active elements to ``keywords``."""
+    check_k(k)
     q = _query_vec(keywords, index.idf)
     scored = sorted(
         ((_cos(q, index.vecs[eid]), -eid) for eid in index.matches(keywords)), reverse=True
@@ -99,6 +101,7 @@ def div_topk(index: KeywordIndex, keywords: np.ndarray, k: int) -> list[int]:
     observes of DIV, marginally-matching off-topic elements can enter
     the result.
     """
+    check_k(k)
     vecs = index.vecs
     q = _query_vec(keywords, index.idf)
     cand = index.matches(keywords)

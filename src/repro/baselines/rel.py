@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from repro.core.query import check_k
 from repro.core.state import SIRStream
 
 __all__ = ["rel_topk", "topic_cosine"]
@@ -27,6 +28,7 @@ def topic_cosine(tp: dict[int, float], topics: np.ndarray, weights: np.ndarray) 
 
 def rel_topk(state: SIRStream, query, k: int) -> list[int]:
     """k most topic-cosine-relevant active elements to ``query``."""
+    check_k(k)
     w = state.window
     scored = sorted(
         (

@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.keyword import KeywordIndex
+from repro.core.query import check_k
 
 __all__ = ["sumblr"]
 
@@ -56,6 +57,7 @@ def sumblr(
     authors", not reference counts — which is why k-SIR beats it on
     influence).
     """
+    check_k(k)
     cands = index.matches(keywords)
     if not cands:
         return []

@@ -15,8 +15,6 @@ and the cap δ(e,x) ≥ Δ(e|S), past which no guess can admit e.
 """
 from __future__ import annotations
 
-import math
-
 from repro.core.query import Phi, QueryResult, parse_query
 from repro.core.ranked_lists import Traversal
 from repro.core.scoring import CoverageState
@@ -42,7 +40,7 @@ def mtts(state: SIRStream, query, k: int, eps: float = 0.1) -> QueryResult:
         n_eval += 1
         phi.observe(dex)
         phi.offer(w.store[eid], need, dex)
-        if phi.full and not phi.runs:
+        if not phi.runs:
             break  # every candidate full: no element can be admitted
-        th = need(phi.runs[0][1][0], phi.runs[0][0]) if phi.runs else math.inf
+        th = need(phi.runs[0][1][0], phi.runs[0][0])
     return QueryResult.of(phi.best(), n_eval, trav.n_retrieved)

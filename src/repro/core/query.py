@@ -4,7 +4,8 @@ Every query algorithm (Algs. 2–3, CELF, SieveStreaming, Top-k
 Representative) takes a query vector x (``.topics``/``.weights``), a
 result size k and — where it thresholds — an accuracy ε, and returns a
 :class:`QueryResult`.  :func:`parse_query` checks that contract once:
-k ≥ 1, 0 < ε < 1, and x a finite non-negative vector aligned with its
+k an integer ≥ 1 (:func:`check_k`, which the effectiveness baselines
+share), 0 < ε < 1, and x a finite non-negative vector aligned with its
 distinct topic ids.  :class:`Phi` is the OPT-guess set Φ = {(1+ε)^j} of
 Badanidiyuru et al., *Streaming submodular maximization* (KDD'14), that
 MTTS and SieveStreaming both sieve over with :meth:`Phi.offer`; guesses
@@ -14,13 +15,14 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
     from repro.core.scoring import CoverageState, Element
 
-__all__ = ["QueryResult", "parse_query", "Phi"]
+__all__ = ["QueryResult", "check_k", "parse_query", "Phi"]
 
 _EPS = 1e-12
 
@@ -42,14 +44,23 @@ class QueryResult:
         return cls(list(cov.S), cov.value, n_evaluated, n_retrieved)
 
 
+def check_k(k: int) -> None:
+    """Raise ``ValueError`` unless k is a Python or numpy integer ≥ 1.
+
+    A fractional k is refused: no |S| can equal it, so no candidate
+    would ever fill.
+    """
+    if not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"k must be an integer ≥ 1, got {k!r}")
+
+
 def parse_query(query, k: int, eps: float | None = None) -> tuple[list[int], list[float]]:
     """Validate a query against the contract; → (int topics, float weights).
 
     Pass ``eps`` only for algorithms that take one.  Raises ``ValueError``
     before any work is done, so no algorithm can loop on bad input.
     """
-    if k < 1:
-        raise ValueError(f"k must be ≥ 1, got {k}")
+    check_k(k)
     if eps is not None and not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     topics = [int(i) for i in query.topics]

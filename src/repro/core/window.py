@@ -148,7 +148,7 @@ class ActiveWindow:
         old = self.delta.get(eid, {})
         d: dict[int, float] = {}
         for i, pe in e.tp.items():
-            inf = pe * max(cs.get(i, 0.0), 0.0)
+            inf = pe * cs.get(i, 0.0)
             d[i] = self.lam * e.R[i] + self.c_inf * inf
             self.rl.upsert(i, eid, d[i], old.get(i))
         self.delta[eid] = d

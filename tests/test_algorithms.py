@@ -176,7 +176,7 @@ def _name(alg):
 
 @pytest.mark.parametrize("alg", ALL_ALGORITHMS, ids=_name)
 def test_invalid_k_raises(tiny_state, tiny_queries, alg):
-    for k in (0, -1):
+    for k in (0, -1, 2.5):
         with pytest.raises(ValueError):
             alg(tiny_state, tiny_queries[0], k)
 

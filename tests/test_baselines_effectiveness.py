@@ -133,3 +133,17 @@ def test_empty_keyword_queries(index, author):
     assert tfidf_topk(index, np.array([10**6]), 5) == []
     assert sumblr(index, np.array([10**6]), 5, author) == []
 
+
+
+@pytest.mark.parametrize("k", [0, -1, 2.5])
+def test_invalid_k_raises(small_state, index, queries, author, k):
+    """The four baselines share the query contract's k check."""
+    q = queries[0]
+    for run in (
+        lambda: tfidf_topk(index, q.keywords, k),
+        lambda: div_topk(index, q.keywords, k),
+        lambda: sumblr(index, q.keywords, k, author),
+        lambda: rel_topk(small_state, q, k),
+    ):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            run()
