@@ -12,7 +12,11 @@
   in ``delta``, their only copy, pushed into the window's own ranked
   lists whenever they change (the lists find a tuple by its old δ here),
 * the scoring constants λ and (1−λ)/η (``lam``, ``c_inf``), which the
-  query-time scorers read from the window rather than recompute.
+  query-time scorers read from the window rather than recompute,
+* the largest |e.tp| ever ingested, as its ranked lists' ``max_topics``:
+  no element is in more lists than that, so a traversal may stop on
+  the sum of that many list heads.  It only rises, so it stays a bound
+  after expiry and re-activation.
 
 Sliding to t pops the queue while ts ≤ t−T, unlinks those elements from
 their parents and drops from A_t whatever has left W_t with no child left.
@@ -42,6 +46,7 @@ class ActiveWindow:
         self.lam = float(lam)
         self.c_inf = (1.0 - lam) / eta
         self.rl = RankedLists()
+        self.rl.max_topics = 0
         self.t = 0
         self.store: dict[int, Element] = {}
         self.active: set[int] = set()
@@ -90,6 +95,8 @@ class ActiveWindow:
         self._last_ts = last
         dirty: set[int] = set()
         for e in elements:
+            if len(e.tp) > self.rl.max_topics:
+                self.rl.max_topics = len(e.tp)
             self.store[e.eid] = e
             self.active.add(e.eid)
             dirty.add(e.eid)

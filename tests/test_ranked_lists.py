@@ -2,14 +2,14 @@
 
 Sorted-order invariants under upsert/remove churn, equality of the
 incrementally maintained lists with a from-scratch rebuild at every
-bucket, and the first/next traversal semantics with cross-list visited
-marking.
+bucket, the first/next traversal semantics with cross-list visited
+marking, and the stop rule on the m heaviest list heads.
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import RankedLists, SIRStream, Traversal, build_elements
+from repro.core import ActiveWindow, RankedLists, SIRStream, Traversal, build_elements, make_element
 from repro.corpus import AMINER, generate_stream
 
 from stream_fixtures import TINY, TINY_L, TINY_T
@@ -248,3 +248,51 @@ def test_pop_best_without_upper_bound():
     assert tr.pop_best() == 3  # e2's copy in RL_1 was visited: skipped
     assert tr.upper_bound() == 0.0
     assert tr.pop_best() is None
+
+
+def test_next_above_stops_on_the_m_heaviest_heads():
+    """No element is in more than ``max_topics`` lists, so a scan stops
+    once the m largest heads sum below the bound, even while UB(x), the
+    sum of every head, still reaches it.  Unknown m: UB(x) alone."""
+    rl = _rl_from([(0, 1, 0.6), (1, 2, 0.5), (2, 3, 0.4), (0, 4, 0.1)])
+    assert Traversal(rl, [0, 1, 2], [1.0] * 3).next_above(1.2) == 1  # UB = 1.5
+    rl.max_topics = 2
+    tr = Traversal(rl, [0, 1, 2], [1.0] * 3)
+    assert tr.next_above(1.1) == 1  # 0.6 + 0.5 reaches 1.1
+    assert tr.next_above(0.95) is None  # UB = 1.0 does, 0.5 + 0.4 does not
+    assert tr.next_above(0.85) == 2
+    assert tr.n_retrieved == 2
+    rl.max_topics = 1
+    assert Traversal(rl, [0, 1, 2], [1.0] * 3).next_above(0.7) is None  # UB = 1.5
+
+
+def test_three_topic_window_never_stops_before_a_reachable_element():
+    """m = 3: δ(e,x) adds e's terms in query order, the bound adds the
+    three largest heads in descending order, and the two sums can round
+    apart.  With weights where the descending sum rounds below δ(e,x),
+    a scan at bound δ(e,x) must still pop e: the widened bound stops no
+    earlier than it should."""
+    phi = np.full((5, 6), 1 / 6)
+
+    def el(eid, words, tps, pps):
+        return make_element(eid, 1, np.array(words), np.ones(len(words)), tps, pps,
+                            np.array([], dtype=int), phi)
+
+    w = ActiveWindow(T=10, lam=0.5, eta=2.0)
+    w.ingest([el(0, [0, 1, 2, 3, 4, 5], [0, 1, 2], [0.5, 0.3, 0.2]),
+              el(1, [0], [2, 3, 4], [0.1, 0.6, 0.3])], 1)
+    assert w.rl.max_topics == 3
+    rng = np.random.default_rng(0)
+    found = 0
+    for topics in ([0, 1, 2, 3, 4], [0, 1, 2, 3]):
+        for _ in range(200):
+            x = rng.uniform(0.1, 1.0, 3).tolist() + [1e-3] * (len(topics) - 3)
+            d = w.delta_x(0, topics, x)
+            tight = 0.0  # e0 heads RL_0–RL_2, above e1's tiny x-weighted heads
+            for h in sorted((xi * w.delta[0][i] for i, xi in zip(topics, x[:3])), reverse=True):
+                tight += h
+            if tight < d:
+                found += 1
+                tr = Traversal(w.rl, topics, x)
+                assert tr.next_above(d) == 0
+    assert found  # some weights round the two sums apart

@@ -1,18 +1,28 @@
-"""Shared candidate states in the sieves, checked against an oracle.
+"""Shared candidate states in the sieves and the ranked-list stop rule,
+checked against an oracle.
 
 MTTS and SieveStreaming run one sieve step, ``Phi.offer``: the OPT
 guesses of Φ that hold the same S share one ``CoverageState``, kept as a
 run of guesses, and a run is copied only when its guesses diverge; the
-ranked-list traversal reads each list head once per pop.  Neither may
-change an answer.  The oracle below is the plain sieve: every guess
+ranked-list traversal reads each list head once per pop and stops once
+the m heaviest heads fall below the caller's threshold.  None of this
+may change an answer.  The oracle below is the plain sieve: every guess
 owns its own ``CoverageState``, every candidate scores e itself, and
-the scan re-reads every head for UB(x) and again for the pop.  On
-hypothesis-generated streams, queried mid-stream and at the end, both
-sieves must match it bit for bit: eids in admission order,
-``value.hex()``, ``n_evaluated`` and ``n_retrieved``; and after every
-``observe`` and ``offer``, Φ's runs must partition its guess range.
+the scan re-reads every head for each bound and again for the pop.  On
+hypothesis-generated streams, queried mid-stream and at the end:
+
+* MTTS, MTTD and Top-k Representative return the eids, in admission
+  order, and the ``value.hex()`` of a scan that stops on the paper's
+  UB(x) alone, and the ``n_evaluated`` and ``n_retrieved`` of a scan
+  that also stops on the m heaviest heads, m counted from scratch;
+* SieveStreaming matches its oracle bit for bit;
+* after every ``observe`` and ``offer``, Φ's runs partition its guess
+  range;
+* whenever a scan stops, every active element it left has δ(e,x) below
+  the threshold it stopped at.
 """
 import contextlib
+import importlib
 import math
 from types import SimpleNamespace
 
@@ -20,12 +30,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines import sieve_streaming
-from repro.core import SIRStream, make_element, mtts
+from repro.baselines import sieve_streaming, topk_representative
+from repro.core import SIRStream, Traversal, make_element, mttd, mtts
 from repro.core.query import _EPS, Phi
 from repro.core.scoring import CoverageState, singleton_delta
 
-Z, M = 3, 8  # topics and vocabulary of the generated streams
+Z, M = 5, 8  # topics and vocabulary of the generated streams
 
 
 # -- the oracle: one CoverageState per OPT guess -------------------------
@@ -58,14 +68,18 @@ def _best(cands):
 
 
 class _RefScan:
-    """Ranked-list scan that re-reads every list head for UB(x) and again
-    for the pop."""
+    """Ranked-list scan that re-reads every list head for each bound and
+    again for the pop.  With ``m=None`` it stops on the paper's UB(x)
+    alone; with an int m also once the m largest heads, summed in
+    descending order and widened by 4mu for m ≥ 3 (u = 2⁻⁵³), fall below
+    the bound."""
 
-    def __init__(self, rl, topics, weights):
+    def __init__(self, rl, topics, weights, m=None):
         self.lists = [(x, rl.lists.get(i, [])) for i, x in zip(topics, weights)]
         self.cur = [0] * len(self.lists)
         self.visited = set()
         self.n_retrieved = 0
+        self.m = m
 
     def _heads(self):
         out = []
@@ -78,12 +92,22 @@ class _RefScan:
                 out.append((t, lst[c][1], x * -lst[c][0]))
         return out
 
-    def next_above(self, bound):
+    def upper_bound(self):
         ub = 0.0
         for _, _, v in self._heads():
             ub += v
+        return ub
+
+    def next_above(self, bound):
+        ub = self.upper_bound()
         if ub < bound or ub <= _EPS:
             return None
+        if self.m is not None:
+            tight = 0.0
+            for v in sorted((v for _, _, v in self._heads()), reverse=True)[: self.m]:
+                tight += v
+            if tight * (1.0 if self.m <= 2 else 1.0 + 4 * self.m * 2.0**-53) < bound:
+                return None
         best, best_t, best_v = None, None, -1.0
         for t, eid, v in self._heads():
             if v > best_v:
@@ -96,10 +120,10 @@ class _RefScan:
         return best
 
 
-def oracle_mtts(state, topics, weights, k, eps):
-    """Alg. 2 with one CoverageState per guess."""
+def oracle_mtts(state, topics, weights, k, eps, scan_m=None):
+    """Alg. 2 with one CoverageState per guess, over ``_RefScan(scan_m)``."""
     w = state.window
-    scan = _RefScan(w.rl, topics, weights)
+    scan = _RefScan(w.rl, topics, weights, scan_m)
     cands, m = {}, 0.0
     th, n_eval = 0.0, 0
     while (eid := scan.next_above(th)) is not None:
@@ -147,16 +171,20 @@ def oracle_sieve(state, topics, weights, k, eps):
 @st.composite
 def streams(draw):
     """(elements, T, L, lam, eta) — a small stream with dense overlap: few
-    words and topics, few distinct probabilities, many references.  The
-    elements come from a drawn seed, so a failure shrinks in seconds."""
+    words and topics, few distinct probabilities, many references.  Each
+    stream draws its m from 1–3 and gives each element 1 to m topics, and
+    a query draws up to Z = 5, so the scan's m-heaviest-heads rule bites
+    at m = 1, 2 and 3.  The elements come from a drawn seed, so a failure
+    shrinks in seconds."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 40))
     phi = rng.choice([0.0, 0.1, 0.2, 0.4], size=(Z, M))
+    most = int(rng.integers(1, 4))
     ts, elements = 0, []
     for eid in range(n):
         ts += int(rng.integers(0, 4))
         words = rng.choice(M, size=int(rng.integers(1, 6)), replace=False)
-        topics = rng.choice(Z, size=int(rng.integers(1, Z + 1)), replace=False)
+        topics = rng.choice(Z, size=int(rng.integers(1, most + 1)), replace=False)
         refs = rng.choice(eid, size=min(eid, int(rng.integers(0, 4))), replace=False)
         elements.append(make_element(
             eid, ts, words, rng.integers(1, 4, size=len(words)).astype(float),
@@ -209,19 +237,47 @@ def _checking_runs():
         Phi.observe, Phi.offer = saved
 
 
+@contextlib.contextmanager
+def _scanning(module, m):
+    """Run the algorithm in ``module`` over a ``_RefScan(m)`` instead of
+    its ``Traversal``."""
+    mod = importlib.import_module(module)
+    saved = mod.Traversal
+    mod.Traversal = lambda rl, topics, weights: _RefScan(rl, topics, weights, m)
+    try:
+        yield
+    finally:
+        mod.Traversal = saved
+
+
+def _tuple(r):
+    return r.eids, r.value.hex(), r.n_evaluated, r.n_retrieved
+
+
 def _answers(state, q, k, eps):
     topics = [int(i) for i in q.topics]
     weights = [float(x) for x in q.weights]
+    # m from scratch: the most topics of any element ingested so far.  An
+    # expired element may be re-activated, so the window's m counts it too.
+    m = max((len(e.tp) for e in state.window.store.values()), default=0)
     with _checking_runs():
         got_mtts = mtts(state, q, k, eps)
         got_sieve = sieve_streaming(state, q, k, eps)
-    for got, want in (
-        (got_mtts, oracle_mtts(state, topics, weights, k, eps)),
-        (got_sieve, oracle_sieve(state, topics, weights, k, eps)),
+    full = oracle_mtts(state, topics, weights, k, eps)
+    tight = oracle_mtts(state, topics, weights, k, eps, m)
+    assert _tuple(got_mtts) == (full[0], full[1].hex(), tight[2], tight[3])
+    want = oracle_sieve(state, topics, weights, k, eps)
+    assert _tuple(got_sieve) == (want[0], want[1].hex(), want[2], want[3])
+    for module, run in (
+        ("repro.core.mttd", lambda: mttd(state, q, k, eps)),
+        ("repro.baselines.topk_repr", lambda: topk_representative(state, q, k)),
     ):
-        assert (got.eids, got.value.hex(), got.n_evaluated, got.n_retrieved) == (
-            want[0], want[1].hex(), want[2], want[3]
-        )
+        got = _tuple(run())
+        with _scanning(module, None):
+            full = _tuple(run())
+        with _scanning(module, m):
+            tight = _tuple(run())
+        assert got == full[:2] + tight[2:]
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.1, 0.3, 0.5])
@@ -237,6 +293,51 @@ def test_sieves_match_one_state_per_guess_oracle(k, eps, data):
     _answers(state, _query(data.draw), k, eps)
     state.run_all()
     _answers(state, _query(data.draw), k, eps)
+
+
+@contextlib.contextmanager
+def _recording_stops():
+    """Yield a list that gets (bound, visited eids) each time a scan stops."""
+    stops = []
+    saved = Traversal.next_above
+
+    def next_above(trav, bound):
+        eid = saved(trav, bound)
+        if eid is None:
+            stops.append((bound, set(trav.visited)))
+        return eid
+
+    Traversal.next_above = next_above
+    try:
+        yield stops
+    finally:
+        Traversal.next_above = saved
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_scans_leave_only_elements_below_their_threshold(data):
+    """When MTTS, MTTD or Top-k stops a scan at threshold b, every active
+    element it has not retrieved has δ(e,x) < b, or δ(e,x) ≤ _EPS where
+    UB(x) reached the zero floor: the stop rule never skips an element
+    the threshold would admit."""
+    elements, T, L, lam, eta = data.draw(streams())
+    state = SIRStream(T=T, L=L, lam=lam, eta=eta)
+    state.load(elements)
+    state.advance_to(data.draw(st.integers(elements[0].ts, elements[-1].ts + L)))
+    q = _query(data.draw)
+    k = data.draw(st.sampled_from([1, 2, 3, 10]))
+    w = state.window
+    topics = [int(i) for i in q.topics]
+    weights = [float(x) for x in q.weights]
+    for run in (lambda: mtts(state, q, k, 0.1), lambda: mttd(state, q, k, 0.1),
+                lambda: topk_representative(state, q, k)):
+        with _recording_stops() as stops:
+            run()
+        for bound, visited in stops:
+            for eid in w.active - visited:
+                d = w.delta_x(eid, topics, weights)
+                assert d < bound or d <= _EPS, (eid, d, bound)
 
 
 def test_sieves_match_oracle_on_small_stream(small_state, small_queries):

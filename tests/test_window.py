@@ -218,3 +218,26 @@ def test_update_time_accounting(stream):
     st.run_all()
     assert st.n_ingested == stream.n
     assert st.update_seconds > 0
+
+
+def test_max_topics_does_not_fall_when_its_element_expires(mini_phi):
+    """The ranked lists' ``max_topics`` is the largest |e.tp| ever
+    ingested: it stays a bound when that element expires, and when it is
+    re-activated."""
+    els = _mini_elements(
+        mini_phi,
+        [
+            (0, 1, [0, 2], ([0, 1], [0.5, 0.5]), []),
+            (1, 8, [1], ([0], [1.0]), []),
+            (2, 12, [3], ([1], [1.0]), [0]),  # re-activates e0
+        ],
+    )
+    w = ActiveWindow(T=4, lam=0.5, eta=2.0)
+    assert w.rl.max_topics == 0
+    w.ingest([els[0]], 2)
+    assert w.rl.max_topics == 2
+    w.ingest([els[1]], 8)
+    assert w.active == {1}  # e0 has expired
+    assert w.rl.max_topics == 2
+    w.ingest([els[2]], 12)
+    assert w.active == {0, 2} and w.rl.max_topics == 2
