@@ -5,6 +5,7 @@ from repro.core.scoring import (
     CoverageState,
     build_elements,
     make_element,
+    score_elements,
     semantic_set_score,
     influence_set_score,
     f_set_score,
@@ -20,6 +21,7 @@ __all__ = [
     "CoverageState",
     "build_elements",
     "make_element",
+    "score_elements",
     "semantic_set_score",
     "influence_set_score",
     "f_set_score",

@@ -1,5 +1,12 @@
 """k-SIR representativeness scoring (Section 3.2).
 
+An element is recorded by :func:`make_element` and scored later, a batch
+at a time, by :func:`score_elements`, the one implementation of the
+word weights σ_i(w,e) and singleton semantic scores R_i(e):
+``ActiveWindow.ingest`` scores the unscored elements of each bucket
+before it changes any state, and :func:`build_elements` scores a whole
+stream up front.
+
 Implements the topic-specific semantic score R_i (weighted word
 coverage, Eq. 3), the topic-specific time-critical influence score
 I_{i,t} (probabilistic coverage over in-window references, Eq. 4), the
@@ -19,7 +26,7 @@ Example 1 (σ_2(w_9,e_2)=0.15 etc.) in ``tests/test_paper_examples.py``.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -29,6 +36,7 @@ if TYPE_CHECKING:
 __all__ = [
     "Element",
     "make_element",
+    "score_elements",
     "build_elements",
     "CoverageState",
     "semantic_set_score",
@@ -38,24 +46,31 @@ __all__ = [
 
 
 class Element:
-    """A materialised social element with precomputed topic-wise weights.
+    """A social element as it arrived, plus its topic-wise weights once scored.
 
-    ``sigma[i]`` is aligned with ``words`` and holds
+    ``freqs`` holds the counts γ(w,e) as given, ``tp`` maps topic →
+    p_i(e) for the topics with p_i(e) > 0, and ``phi`` is the (z × m)
+    topic-word matrix the element is scored against.  ``sigma[i]`` is aligned with ``words`` and holds
     σ_i(w,e) = −γ(w,e)·p_i(w,e)·log p_i(w,e); ``R[i]`` is the singleton
-    semantic score R_i(e) = Σ_w σ_i(w,e); ``tp`` maps topic → p_i(e).
+    semantic score R_i(e) = Σ_w σ_i(w,e).  Both stay ``None`` until
+    :func:`score_elements` fills them: ``ActiveWindow.ingest`` scores
+    the unscored elements of each bucket, :func:`build_elements` a whole
+    stream.  Each σ_i(·,e) is a view into the array of the batch it was
+    scored in.
     """
 
-    __slots__ = ("eid", "ts", "words", "freqs", "tp", "sigma", "R", "refs")
+    __slots__ = ("eid", "ts", "words", "freqs", "tp", "sigma", "R", "refs", "phi")
 
-    def __init__(self, eid, ts, words, freqs, tp, sigma, R, refs):
+    def __init__(self, eid, ts, words, freqs, tp, refs, phi):
         self.eid = int(eid)
         self.ts = int(ts)
         self.words = words
         self.freqs = freqs
         self.tp = tp
-        self.sigma = sigma
-        self.R = R
+        self.sigma = None
+        self.R = None
         self.refs = refs
+        self.phi = phi
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Element(eid={self.eid}, ts={self.ts}, topics={list(self.tp)})"
@@ -71,42 +86,97 @@ def make_element(
     refs: np.ndarray,
     phi: np.ndarray,
 ) -> Element:
-    """Build an :class:`Element`, precomputing σ_i(w,e) and R_i(e).
+    """Record an unscored :class:`Element`: ``sigma`` and ``R`` stay
+    ``None`` until :func:`score_elements` fills them, which
+    ``ActiveWindow.ingest`` does for its bucket.
 
-    ``phi`` is the (z × m) topic-word matrix of the oracle. Topics with
-    p_i(e) = 0 are dropped entirely — they contribute nothing to either
-    score (Section 3.2), which is what makes the ranked lists sparse.
+    ``phi`` is the (z × m) topic-word matrix of the oracle; the element
+    keeps a reference to it.  Topics with p_i(e) ≤ 0 are dropped
+    entirely — they contribute nothing to either score (Section 3.2),
+    which is what makes the ranked lists sparse.  Ids and probabilities
+    are not checked here: a NaN p_i(e) is kept, so that scoring rejects
+    it with the out-of-range ids.
     """
-    words = np.asarray(words, dtype=int)
-    freqs = np.asarray(freqs, dtype=float)
-    tp: dict[int, float] = {}
-    sigma: dict[int, np.ndarray] = {}
-    R: dict[int, float] = {}
-    for i, pe in zip(topic_ids, topic_probs):
-        pe = float(pe)
-        if pe <= 0:
-            continue
-        i = int(i)
-        tp[i] = pe
-        p = phi[i, words] * pe  # p_i(w, e) = p_i(w) · p_i(e)
-        s = np.zeros(len(words))
-        nz = p > 0
-        s[nz] = -freqs[nz] * p[nz] * np.log(p[nz])
-        sigma[i] = s
-        R[i] = float(s.sum())
-    return Element(eid, ts, words, freqs, tp, sigma, R, np.asarray(refs, dtype=int))
+    ids = np.asarray(topic_ids, dtype=int).tolist()
+    probs = np.asarray(topic_probs, dtype=float).tolist()
+    tp = {i: pe for i, pe in zip(ids, probs) if not pe <= 0}
+    return Element(
+        eid, ts, np.asarray(words, dtype=int), np.asarray(freqs), tp, np.asarray(refs, dtype=int), phi
+    )
+
+
+def score_elements(elements: Sequence[Element]) -> None:
+    """Fill σ_i(·,e) and R_i(e) of every element, in one numpy pass.
+
+    One gather p_i(w,e) = φ[i, w]·p_i(e) covers every (element, topic,
+    word) of the batch, σ is −γ·p·log p over its positive entries and
+    +0.0 elsewhere, and σ_i(·,e) is the slice of e's row.  R_i(e) is
+    ``np.add.reduce`` of that slice: the same float as summing σ_i(·,e)
+    on its own (``np.add.reduceat`` sums in another order).
+
+    ``ValueError`` naming the element, and no element changed, if the
+    elements do not share one φ, a word or topic id lies outside φ's
+    shape, or a p_i(e) is not finite.
+    """
+    if not elements:
+        return
+    phi = elements[0].phi
+    for e in elements:
+        if e.phi is not phi:
+            raise ValueError(f"element {e.eid}: scored against another φ than element {elements[0].eid}")
+    z, m = phi.shape
+    tps = [e.tp for e in elements]
+    ntp = np.array([len(tp) for tp in tps], dtype=np.intp)
+    topics = np.array([i for tp in tps for i in tp], dtype=np.intp)
+    probs = np.array([pe for tp in tps for pe in tp.values()], dtype=float)
+    docs = [e.words for e in elements]
+    lens = np.array([len(w) for w in docs], dtype=np.intp)
+    words = np.concatenate(docs)
+    bad = (words < 0) | (words >= m)
+    if bad.any():
+        j = np.searchsorted(np.cumsum(lens), bad.argmax(), side="right")
+        raise ValueError(f"element {elements[j].eid}: a word id is outside φ's {m} columns")
+    bad_topic = (topics < 0) | (topics >= z)
+    bad = bad_topic | ~np.isfinite(probs)
+    if bad.any():
+        r = bad.argmax()
+        j = np.searchsorted(np.cumsum(ntp), r, side="right")
+        what = f"topic {topics[r]} is outside φ's {z} rows" if bad_topic[r] else f"p_i(e) = {probs[r]} is not finite"
+        raise ValueError(f"element {elements[j].eid}: {what}")
+    # one row per (element, topic), laid out end to end: each row holds
+    # its element's tokens, scored against its topic
+    row_len = np.repeat(lens, ntp)
+    end = np.cumsum(row_len)
+    first = np.cumsum(lens) - lens  # each document's first token in ``words``
+    # token k of the batch, in row r, is words[k − start of r + first of r's element]
+    tok = np.arange(row_len.sum()) + np.repeat(np.repeat(first, ntp) - end + row_len, row_len)
+    p = phi[np.repeat(topics, row_len), words[tok]] * np.repeat(probs, row_len)  # p_i(w,e) = p_i(w)·p_i(e)
+    f = np.concatenate([e.freqs for e in elements])[tok].astype(float)
+    sigma = np.zeros(len(p))
+    nz = p > 0
+    pn = p[nz]
+    sigma[nz] = -f[nz] * pn * np.log(pn)
+    bounds = end.tolist()
+    rows = [sigma[a:b] for a, b in zip([0, *bounds], bounds)]
+    it_s, it_r = iter(rows), map(float, map(np.add.reduce, rows))
+    for e in elements:
+        # zip reads e.tp first, so it takes exactly len(e.tp) rows
+        e.sigma = dict(zip(e.tp, it_s))
+        e.R = dict(zip(e.tp, it_r))
 
 
 def build_elements(stream) -> list[Element]:
-    """Materialise every element of a :class:`~repro.corpus.SocialStream`."""
+    """Materialise and score every element of a :class:`~repro.corpus.SocialStream`."""
     phi = stream.model.phi
-    return [
+    elements = [
         make_element(
             e, stream.ts[e], stream.docs[e][0], stream.docs[e][1],
             stream.topic_ids[e], stream.topic_probs[e], stream.refs[e], phi,
         )
         for e in range(stream.n)
     ]
+    score_elements(elements)
+    return elements
 
 
 class CoverageState:

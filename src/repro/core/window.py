@@ -33,7 +33,7 @@ from collections import deque
 from typing import Iterable
 
 from repro.core.ranked_lists import RankedLists
-from repro.core.scoring import Element
+from repro.core.scoring import Element, score_elements
 
 __all__ = ["ActiveWindow"]
 
@@ -77,14 +77,16 @@ class ActiveWindow:
 
     # -- maintenance -----------------------------------------------------
     def ingest(self, elements: Iterable[Element], t: int) -> None:
-        """Apply bucket B_t and slide to time t.  ``ValueError``, state
-        untouched, if t goes back, a ts is < the last arrival's or > t, or
-        an eid was ingested before (a replay would double-count its links).
-        The eid check reads ``store``: evicting from it must keep it."""
+        """Apply bucket B_t and slide to time t, scoring the bucket's
+        unscored elements first (:func:`score_elements`).  ``ValueError``,
+        state untouched, if t goes back, a ts is < the last arrival's or
+        > t, an eid was ingested before (a replay would double-count its
+        links), or scoring rejects an element.  The eid check reads
+        ``store``: evicting from it must keep it."""
         if t < self.t:
             raise ValueError("time must be monotone")
         elements = list(elements)
-        last, seen = self._last_ts, set()
+        last, seen, unscored = self._last_ts, set(), []
         for e in elements:
             if not last <= e.ts <= t:
                 raise ValueError(f"element {e.eid}: ts {e.ts} not in [{last}, {t}]")
@@ -92,6 +94,9 @@ class ActiveWindow:
                 raise ValueError(f"element {e.eid} was already ingested")
             last = e.ts
             seen.add(e.eid)
+            if e.sigma is None:
+                unscored.append(e)
+        score_elements(unscored)
         self._last_ts = last
         dirty: set[int] = set()
         for e in elements:

@@ -85,8 +85,8 @@ def run_streaming(
     """Replay the bucket directory through Structured Streaming.
 
     Each micro-batch (one file = one bucket under ``maxFilesPerTrigger``)
-    is converted back to :class:`Element`s on the driver and fed to
-    ``state.ingest_bucket`` in bucket order; runs with
+    is converted back to unscored :class:`Element`s on the driver and fed
+    to ``state.ingest_bucket`` in bucket order, whose window scores them; runs with
     ``trigger(availableNow=True)`` until the directory is drained.
 
     ``foreachBatch`` delivers at least once, so the sink skips every

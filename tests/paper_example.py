@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.scoring import Element, make_element
+from repro.core.scoring import Element, make_element, score_elements
 from repro.core.state import SIRStream
 
 # (word, p_θ1, p_θ2) in paper order w1..w16
@@ -42,7 +42,7 @@ def phi() -> np.ndarray:
 
 
 def elements() -> list[Element]:
-    """All eight elements, eids 1..8, ts = eid."""
+    """All eight elements, eids 1..8, ts = eid, scored."""
     p = phi()
     out = []
     for eid, (words, (p1, p2), refs) in _ELEMENTS.items():
@@ -52,6 +52,7 @@ def elements() -> list[Element]:
                 eid, eid, w, np.ones(len(w)), [0, 1], [p1, p2], np.array(refs), p
             )
         )
+    score_elements(out)
     return out
 
 
