@@ -150,24 +150,6 @@ class Traversal:
         ub = self.upper_bound()
         if ub < bound or ub <= _EPS:
             return None
-        if self._m <= 2:
-            # the two largest heads (all ≥ 0) in one pass, no sort; summed
-            # in the same order as below, so the same float
-            n, h1, h2 = 0, 0.0, 0.0
-            for h in self._heads:
-                if h is not None:
-                    n += 1
-                    if h[0] > h1:
-                        h1, h2 = h[0], h1
-                    elif h[0] > h2:
-                        h2 = h[0]
-            if n > self._m:
-                tight = 0.0
-                for v in (h1, h2)[: self._m]:
-                    tight += v
-                if tight < bound:
-                    return None
-            return self.pop_best()
         live = [h[0] for h in self._heads if h is not None]
         if len(live) > self._m:
             live.sort(reverse=True)

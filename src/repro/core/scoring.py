@@ -5,7 +5,7 @@ at a time, by :func:`score_elements`, the one implementation of the
 word weights σ_i(w,e) and singleton semantic scores R_i(e):
 ``ActiveWindow.ingest`` scores the unscored elements of each bucket
 before it changes any state, and :func:`build_elements` scores a whole
-stream up front.
+stream up front, in fixed-size slices.
 
 Implements the topic-specific semantic score R_i (weighted word
 coverage, Eq. 3), the topic-specific time-critical influence score
@@ -115,8 +115,9 @@ def score_elements(elements: Sequence[Element]) -> None:
     on its own (``np.add.reduceat`` sums in another order).
 
     ``ValueError`` naming the element, and no element changed, if the
-    elements do not share one φ, a word or topic id lies outside φ's
-    shape, or a p_i(e) is not finite.
+    elements do not share one φ, an element's freqs and words differ in
+    length, a word or topic id lies outside φ's shape, or a p_i(e) is
+    not finite.
     """
     if not elements:
         return
@@ -131,6 +132,10 @@ def score_elements(elements: Sequence[Element]) -> None:
     probs = np.array([pe for tp in tps for pe in tp.values()], dtype=float)
     docs = [e.words for e in elements]
     lens = np.array([len(w) for w in docs], dtype=np.intp)
+    bad = np.array([len(e.freqs) for e in elements], dtype=np.intp) != lens
+    if bad.any():
+        e = elements[bad.argmax()]
+        raise ValueError(f"element {e.eid}: {len(e.freqs)} freqs for {len(e.words)} words")
     words = np.concatenate(docs)
     bad = (words < 0) | (words >= m)
     if bad.any():
@@ -165,8 +170,15 @@ def score_elements(elements: Sequence[Element]) -> None:
         e.R = dict(zip(e.tp, it_r))
 
 
+#: elements per :func:`score_elements` call in :func:`build_elements`: it
+#: bounds the batch temporaries, and each σ view keeps only its slice's array
+_SCORE_CHUNK = 4096
+
+
 def build_elements(stream) -> list[Element]:
-    """Materialise and score every element of a :class:`~repro.corpus.SocialStream`."""
+    """Materialise and score every element of a :class:`~repro.corpus.SocialStream`,
+    :data:`_SCORE_CHUNK` elements per scoring pass (each row is reduced on
+    its own, so the slicing does not change a bit)."""
     phi = stream.model.phi
     elements = [
         make_element(
@@ -175,7 +187,8 @@ def build_elements(stream) -> list[Element]:
         )
         for e in range(stream.n)
     ]
-    score_elements(elements)
+    for a in range(0, len(elements), _SCORE_CHUNK):
+        score_elements(elements[a : a + _SCORE_CHUNK])
     return elements
 
 

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ActiveWindow, RankedLists, SIRStream, Traversal, build_elements, make_element
-from repro.core.query import _EPS
 from repro.corpus import AMINER, generate_stream
 
 from stream_fixtures import TINY, TINY_L, TINY_T
@@ -265,43 +264,6 @@ def test_next_above_stops_on_the_m_heaviest_heads():
     assert tr.n_retrieved == 2
     rl.max_topics = 1
     assert Traversal(rl, [0, 1, 2], [1.0] * 3).next_above(0.7) is None  # UB = 1.5
-
-
-def _sorted_stop_reference(tr, bound):
-    """The m-heaviest-heads stop rule with a sort: None where it stops."""
-    ub = tr.upper_bound()
-    if ub < bound or ub <= _EPS:
-        return None
-    live = sorted((h[0] for h in tr._heads if h is not None), reverse=True)
-    if len(live) > tr._m:
-        tight = 0.0
-        for v in live[: tr._m]:
-            tight += v
-        if tight * tr._widen < bound:
-            return None
-    return tr.pop_best()
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    entries=st.lists(
-        st.tuples(st.integers(0, 4), st.integers(0, 12), st.floats(0, 4, allow_nan=False)),
-        min_size=1, max_size=40,
-    ),
-    weights=st.lists(st.floats(0.01, 2.0), min_size=5, max_size=5),
-    m=st.sampled_from([None, 0, 1, 2]),
-    bounds=st.lists(st.floats(0, 10, allow_nan=False), min_size=1, max_size=12),
-)
-def test_sort_free_stop_equals_the_sorted_sum(entries, weights, m, bounds):
-    """For m ≤ 2 ``next_above`` keeps the two largest heads in one pass;
-    it must stop, and pop, exactly where the sort over every head does."""
-    rl = _rl_from(list({(i, e): (i, e, d) for i, e, d in entries}.values()))
-    rl.max_topics = m
-    topics = list(range(5))
-    got, ref = Traversal(rl, topics, weights), Traversal(rl, topics, weights)
-    for b in bounds:
-        assert got.next_above(b) == _sorted_stop_reference(ref, b)
-    assert got.n_retrieved == ref.n_retrieved
 
 
 def test_three_topic_window_never_stops_before_a_reachable_element():

@@ -11,7 +11,7 @@ import copy
 import numpy as np
 import pytest
 
-from repro.core import ActiveWindow, Element, build_elements, make_element, score_elements
+from repro.core import ActiveWindow, Element, build_elements, make_element, score_elements, scoring
 from repro.corpus import AMINER, REDDIT, TWITTER, generate_stream
 
 L = 15
@@ -68,6 +68,18 @@ def _oracles(stream):
 def test_whole_stream_matches_oracle(stream):
     for e, (sigma, R) in zip(build_elements(stream), _oracles(stream)):
         _assert_matches(e, sigma, R)
+
+
+def test_sliced_build_matches_oracle(stream, monkeypatch):
+    """``build_elements`` scores in fixed-size slices, the last one ragged;
+    each σ view keeps only its own slice's array alive."""
+    monkeypatch.setattr(scoring, "_SCORE_CHUNK", 437)
+    elems = build_elements(stream)
+    for e, (sigma, R) in zip(elems, _oracles(stream)):
+        _assert_matches(e, sigma, R)
+    bases = [{id(s.base) for s in e.sigma.values()} for e in elems]
+    first, last = set().union(*bases[:437]), set().union(*bases[437:874])
+    assert first and last and not first & last
 
 
 def test_each_bucket_matches_oracle(stream):
@@ -174,26 +186,29 @@ def _state(w):
 
 
 BAD = [
-    ("word-negative", [0, -1], [0], [1.0], "word id"),
-    ("word-past-phi", [5], [0], [1.0], "word id"),
-    ("topic-negative", [0], [-1], [1.0], "topic -1"),
-    ("topic-past-phi", [0], [0, 3], [0.5, 0.5], "topic 3"),
-    ("nan-probability", [0], [0, 1], [0.5, float("nan")], "not finite"),
-    ("inf-probability", [0], [2], [float("inf")], "not finite"),
+    ("word-negative", [0, -1], [0], [1.0], None, "word id"),
+    ("word-past-phi", [5], [0], [1.0], None, "word id"),
+    ("topic-negative", [0], [-1], [1.0], None, "topic -1"),
+    ("topic-past-phi", [0], [0, 3], [0.5, 0.5], None, "topic 3"),
+    ("nan-probability", [0], [0, 1], [0.5, float("nan")], None, "not finite"),
+    ("inf-probability", [0], [2], [float("inf")], None, "not finite"),
+    # the batch's γ is one array: a short row would shift every later element's
+    ("freqs-shorter-than-words", [0, 1, 2], [0], [1.0], [1.0, 2.0], "2 freqs for 3 words"),
 ]
 
 
-@pytest.mark.parametrize("words, tps, pps, msg", [c[1:] for c in BAD], ids=[c[0] for c in BAD])
-def test_bad_element_rejected_with_window_untouched(phi, words, tps, pps, msg):
+@pytest.mark.parametrize("words, tps, pps, freqs, msg", [c[1:] for c in BAD], ids=[c[0] for c in BAD])
+def test_bad_element_rejected_with_window_untouched(phi, words, tps, pps, freqs, msg):
     w = ActiveWindow(T=10, lam=0.5, eta=2.0)
     w.ingest([_el(phi, 0, [0, 1], [0, 2], [0.5, 0.5]), _el(phi, 1, [2], [1], [1.0])], 2)
     before = _state(w)
     good = _el(phi, 2, [2, 3], [1], [1.0], ts=3, refs=[0])  # would link to e0
-    bad = _el(phi, 3, words, tps, pps, ts=4)
+    bad = _el(phi, 3, words, tps, pps, freqs=freqs, ts=4)
+    after = _el(phi, 4, [1, 2], [0, 1], [0.5, 0.5], freqs=[3.0, 1.0], ts=4)
     with pytest.raises(ValueError, match=rf"element 3: .*{msg}"):
-        w.ingest([good, bad], 4)
+        w.ingest([good, bad, after], 4)
     assert _state(w) == before
-    assert good.sigma is None and bad.sigma is None
+    assert good.sigma is None and bad.sigma is None and after.sigma is None
 
 
 def test_mixed_phi_rejected(phi):
