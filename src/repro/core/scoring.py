@@ -245,7 +245,7 @@ class CoverageState:
                 continue
             if words is None:
                 words = e.words.tolist()
-                children = list(self.ctx.children_of(e.eid))
+                children = self.ctx.children_of(e.eid)
             kids = [((i, c.eid), pe * pc) for c in children if (pc := c.tp.get(i)) is not None]
             out.append((i, xi * self.lam, xi * self.c_inf, words, e.sigma[i].tolist(), kids))
         return out
@@ -307,7 +307,7 @@ def singleton_delta(
             continue
         total += x * lam * e.R[i]
         if children is None:
-            children = list(ctx.children_of(e.eid))
+            children = ctx.children_of(e.eid)
         inf = sum(pe * pc for c in children if (pc := c.tp.get(i)))
         total += x * c_inf * inf
     return total

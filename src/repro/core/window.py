@@ -4,9 +4,10 @@
 
 * the sliding window W_t = {e | e.ts ∈ [t−T+1, t]}: one queue in arrival
   order, each entry holding the parents its element was linked to,
-* per-parent in-window children I_t(e) with per-topic probability sums
-  (so singleton influence I_{i,t}(e) = p_i(e)·Σ_{c∈I_t(e)} p_i(c) is O(1)),
-  kept only while I_t(e) ≠ ∅,
+* per-parent in-window children I_t(e) as one arrival-ordered queue of
+  elements, kept only while I_t(e) ≠ ∅ and the only copy of I_t(e): the
+  singleton influence I_{i,t}(e) = p_i(e)·Σ_{c∈I_t(e)} p_i(c) is summed
+  from it whenever e is re-scored,
 * the active set A_t = W_t ∪ {e | I_t(e) ≠ ∅} (W_t plus referred parents),
 * per-element topic-wise scores δ_i(e) = λ·R_i(e) + (1−λ)/η·I_{i,t}(e)
   in ``delta``, their only copy, pushed into the window's own ranked
@@ -53,16 +54,14 @@ class ActiveWindow:
         # W_t in arrival order: (element, eids of the parents it was linked to)
         self._window: deque[tuple[Element, list[int]]] = deque()
         self._last_ts = float("-inf")  # ts of the latest arrival
-        # children[p] = I_t(p) as child eids in arrival order
-        self.children: dict[int, deque[int]] = {}
-        # chsum[p][i] = Σ_{c ∈ I_t(p)} p_i(c), keyed on p's own topics
-        self.chsum: dict[int, dict[int, float]] = {}
+        # children[p] = I_t(p) as child elements in arrival order
+        self.children: dict[int, deque[Element]] = {}
         self.delta: dict[int, dict[int, float]] = {}
 
     # -- queries over state ---------------------------------------------
     def children_of(self, eid: int) -> list[Element]:
         """I_t(eid): active in-window children (the scorer's context)."""
-        return [self.store[c] for c in self.children.get(eid, ())]
+        return list(self.children.get(eid, ()))
 
     def delta_x(self, eid: int, topics, weights) -> float:
         """δ(e, x) = Σ_i x_i·δ_i(e) for a query vector."""
@@ -81,8 +80,9 @@ class ActiveWindow:
         unscored elements first (:func:`score_elements`).  ``ValueError``,
         state untouched, if t goes back, a ts is < the last arrival's or
         > t, an eid was ingested before (a replay would double-count its
-        links), or scoring rejects an element.  The eid check reads
-        ``store``: evicting from it must keep it."""
+        links), an element's refs repeat an eid or name the element itself
+        (e.ref is a set), or scoring rejects an element.  The eid check
+        reads ``store``: evicting from it must keep it."""
         if t < self.t:
             raise ValueError("time must be monotone")
         elements = list(elements)
@@ -92,6 +92,9 @@ class ActiveWindow:
                 raise ValueError(f"element {e.eid}: ts {e.ts} not in [{last}, {t}]")
             if e.eid in self.store or e.eid in seen:
                 raise ValueError(f"element {e.eid} was already ingested")
+            refs = e.refs.tolist()
+            if e.eid in refs or len(set(refs)) < len(refs):
+                raise ValueError(f"element {e.eid}: refs {refs} repeat an eid or name itself")
             last = e.ts
             seen.add(e.eid)
             if e.sigma is None:
@@ -111,12 +114,7 @@ class ActiveWindow:
                 if parent is None:
                     continue  # reference to an element outside the run
                 linked.append(parent.eid)
-                self.children.setdefault(parent.eid, deque()).append(e.eid)
-                cs = self.chsum.setdefault(parent.eid, {})
-                for i in parent.tp:
-                    pc = e.tp.get(i)
-                    if pc:
-                        cs[i] = cs.get(i, 0.0) + pc
+                self.children.setdefault(parent.eid, deque()).append(e)
                 self.active.add(parent.eid)  # (re-)enters A_t by definition
                 dirty.add(parent.eid)
             self._window.append((e, linked))
@@ -135,15 +133,10 @@ class ActiveWindow:
                 kids = self.children[p]
                 kids.popleft()  # the front is e: children leave in arrival order
                 if kids:
-                    parent, cs = self.store[p], self.chsum[p]
-                    for i in parent.tp:
-                        pc = e.tp.get(i)
-                        if pc:  # a true sum is ≥ 0: cut drift below it
-                            cs[i] = max(cs[i] - pc, 0.0)
                     dirty.add(p)
                 else:
                     # p arrived before e, so it has left W_t too
-                    del self.children[p], self.chsum[p]
+                    del self.children[p]
                     self._drop(p, dirty)
 
     def _drop(self, eid: int, dirty: set[int]) -> None:
@@ -154,13 +147,22 @@ class ActiveWindow:
         dirty.discard(eid)
 
     def _refresh(self, eid: int) -> None:
-        """Recompute δ_i(eid) for its topics and reposition in RL_i."""
+        """Recompute δ_i(eid) for its topics and reposition in RL_i.
+
+        Σ_{c∈I_t(e)} p_i(c) is added left to right in arrival order, so
+        δ depends on I_t(e) and not on the history that led to it.  Not
+        by ``sum``: from Python 3.12 it is compensated and rounds otherwise."""
         e = self.store[eid]
-        cs = self.chsum.get(eid, {})
+        kids = self.children.get(eid, ())
         old = self.delta.get(eid, {})
         d: dict[int, float] = {}
         for i, pe in e.tp.items():
-            inf = pe * cs.get(i, 0.0)
+            s = 0.0
+            for c in kids:
+                pc = c.tp.get(i)
+                if pc:
+                    s += pc
+            inf = pe * s
             d[i] = self.lam * e.R[i] + self.c_inf * inf
             self.rl.upsert(i, eid, d[i], old.get(i))
         self.delta[eid] = d

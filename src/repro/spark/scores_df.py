@@ -80,14 +80,14 @@ def influence_scores_df(
     child_topics = elem_topics.select(
         F.col("eid").alias("child"), "topic", F.col("p_e").alias("p_c")
     )
-    chsum = (
+    p_c_sums = (
         w_children.join(child_topics, "child")
         .groupBy(F.col("parent").alias("eid"), "topic")
-        .agg(F.sum("p_c").alias("chsum"))
+        .agg(F.sum("p_c").alias("sum_p_c"))
     )
     return (
-        elem_topics.join(chsum, ["eid", "topic"])
-        .select("eid", "topic", (F.col("p_e") * F.col("chsum")).alias("inf"))
+        elem_topics.join(p_c_sums, ["eid", "topic"])
+        .select("eid", "topic", (F.col("p_e") * F.col("sum_p_c")).alias("inf"))
     )
 
 

@@ -180,30 +180,37 @@ def _state(w):
     return copy.deepcopy((
         w.t, w._last_ts, sorted(w.store), sorted(w.active), w.delta,
         {i: list(lst) for i, lst in w.rl.lists.items()}, w.rl.max_topics,
-        {p: list(c) for p, c in w.children.items()}, w.chsum,
+        {p: [c.eid for c in kids] for p, kids in w.children.items()},
         [(e.eid, linked) for e, linked in w._window],
     ))
 
 
 BAD = [
-    ("word-negative", [0, -1], [0], [1.0], None, "word id"),
-    ("word-past-phi", [5], [0], [1.0], None, "word id"),
-    ("topic-negative", [0], [-1], [1.0], None, "topic -1"),
-    ("topic-past-phi", [0], [0, 3], [0.5, 0.5], None, "topic 3"),
-    ("nan-probability", [0], [0, 1], [0.5, float("nan")], None, "not finite"),
-    ("inf-probability", [0], [2], [float("inf")], None, "not finite"),
+    ("word-negative", [0, -1], [0], [1.0], None, (), "word id"),
+    ("word-past-phi", [5], [0], [1.0], None, (), "word id"),
+    ("topic-negative", [0], [-1], [1.0], None, (), "topic -1"),
+    ("topic-past-phi", [0], [0, 3], [0.5, 0.5], None, (), "topic 3"),
+    ("nan-probability", [0], [0, 1], [0.5, float("nan")], None, (), "not finite"),
+    ("inf-probability", [0], [2], [float("inf")], None, (), "not finite"),
     # the batch's γ is one array: a short row would shift every later element's
-    ("freqs-shorter-than-words", [0, 1, 2], [0], [1.0], [1.0, 2.0], "2 freqs for 3 words"),
+    ("freqs-shorter-than-words", [0, 1, 2], [0], [1.0], [1.0, 2.0], (), "2 freqs for 3 words"),
+    # e.ref is a set: a repeat would count e twice in I_t(p), a self-reference
+    # would make e its own child
+    ("repeated-ref", [0], [0], [1.0], None, [0, 0], "repeat an eid"),
+    ("repeated-ref-among-others", [0], [0], [1.0], None, [1, 0, 1], "repeat an eid"),
+    ("repeated-unknown-ref", [0], [0], [1.0], None, [9, 9], "repeat an eid"),
+    ("self-ref", [0], [0], [1.0], None, [3], "name itself"),
+    ("self-ref-among-others", [0], [0], [1.0], None, [0, 3], "name itself"),
 ]
 
 
-@pytest.mark.parametrize("words, tps, pps, freqs, msg", [c[1:] for c in BAD], ids=[c[0] for c in BAD])
-def test_bad_element_rejected_with_window_untouched(phi, words, tps, pps, freqs, msg):
+@pytest.mark.parametrize("words, tps, pps, freqs, refs, msg", [c[1:] for c in BAD], ids=[c[0] for c in BAD])
+def test_bad_element_rejected_with_window_untouched(phi, words, tps, pps, freqs, refs, msg):
     w = ActiveWindow(T=10, lam=0.5, eta=2.0)
     w.ingest([_el(phi, 0, [0, 1], [0, 2], [0.5, 0.5]), _el(phi, 1, [2], [1], [1.0])], 2)
     before = _state(w)
     good = _el(phi, 2, [2, 3], [1], [1.0], ts=3, refs=[0])  # would link to e0
-    bad = _el(phi, 3, words, tps, pps, freqs=freqs, ts=4)
+    bad = _el(phi, 3, words, tps, pps, freqs=freqs, ts=4, refs=refs)
     after = _el(phi, 4, [1, 2], [0, 1], [0.5, 0.5], freqs=[3.0, 1.0], ts=4)
     with pytest.raises(ValueError, match=rf"element 3: .*{msg}"):
         w.ingest([good, bad, after], 4)

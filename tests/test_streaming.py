@@ -137,5 +137,8 @@ def test_same_minute_reply_follows_its_parent(spark, tmp_path):
     batch.run_all()
     streamed = run_streaming(spark, path, phi, T, L, LAM, ETA)
 
-    assert streamed.window.children == batch.window.children
+    def child_eids(w):
+        return {p: [c.eid for c in kids] for p, kids in w.children.items()}
+
+    assert child_eids(streamed.window) == child_eids(batch.window)
     assert streamed.window.delta == batch.window.delta

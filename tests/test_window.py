@@ -3,16 +3,17 @@
 W_t membership, A_t = W_t ∪ referred-parents, expiry at the last
 reference, child expiry shrinking I_t(e), score refresh on reference
 arrival/expiry, re-activation of expired-but-referred elements, the
-arrival-order contract, and window state that holds no key for an
+arrival-order contract, window state that holds no key for an
 element without in-window children — checked against definition-level
-recomputation at every bucket of a replayed stream.
+recomputation at every bucket of a replayed stream — and a window rebuilt
+from A_t's elements that equals the uninterrupted one bit for bit.
 """
 import numpy as np
 import pytest
 
 from repro.core import ActiveWindow, SIRStream, build_elements, make_element
 from repro.core.scoring import influence_set_score, semantic_set_score
-from repro.corpus import AMINER, TWITTER, generate_stream
+from repro.corpus import AMINER, REDDIT, TWITTER, generate_stream
 
 from stream_fixtures import SMALL_T, SMALL_L, TINY, TINY_T, TINY_L
 
@@ -185,10 +186,11 @@ def test_out_of_order_arrival_raises(mini_phi, earlier, bad, t):
     assert (w.t, set(w.store)) == before
 
 
-def test_state_keys_bounded_and_chsum_exact(small_stream):
-    """After every bucket, ``children``/``chsum`` are keyed on exactly the
-    elements with I_t(e) ≠ ∅, and each maintained Σ p_i(c) matches a
-    recomputation from I_t without drift below zero."""
+def test_state_keys_bounded_and_delta_exact(small_stream):
+    """After every bucket, ``children`` is keyed on exactly the elements
+    with I_t(e) ≠ ∅, and every δ_i(p) is, bit for bit, λ·R_i(p) +
+    (1−λ)/η·p_i(p)·Σ_{c∈I_t(p)} p_i(c), the sum taken in arrival order."""
+    lam, c_inf = TWITTER.lam, (1 - TWITTER.lam) / TWITTER.eta
     st = SIRStream(T=SMALL_T, L=SMALL_L, lam=TWITTER.lam, eta=TWITTER.eta)
     st.load(build_elements(small_stream))
     w = st.window
@@ -197,12 +199,49 @@ def test_state_keys_bounded_and_chsum_exact(small_stream):
         st.advance_to(b)
         in_w = [c for c in range(small_stream.n) if b - SMALL_T + 1 <= small_stream.ts[c] <= b]
         referred = {int(p) for c in in_w for p in small_stream.refs[c]}
-        assert set(w.children) == set(w.chsum) == referred, f"t={b}"
-        for p, cs in w.chsum.items():
-            kids = w.children_of(p)
-            for i in w.store[p].tp:
-                assert abs(cs.get(i, 0.0) - sum(c.tp.get(i, 0.0) for c in kids)) <= 1e-12
-            assert all(v >= 0.0 for v in cs.values()), f"t={b} p={p}"
+        assert set(w.children) == referred, f"t={b}"
+        for p in w.active:
+            e, kids = w.store[p], w.children_of(p)
+            for i, pe in e.tp.items():
+                s = 0.0
+                for c in kids:
+                    s += c.tp.get(i, 0.0)
+                assert w.delta[p][i] == lam * e.R[i] + c_inf * (pe * s), f"t={b} p={p} i={i}"
+
+
+def _window_state(w):
+    return (
+        set(w.active),
+        {p: {i: d.hex() for i, d in ds.items()} for p, ds in w.delta.items()},
+        {i: lst for i, lst in w.rl.lists.items() if lst},
+        {p: [c.eid for c in kids] for p, kids in w.children.items()},
+    )
+
+
+@pytest.mark.parametrize(
+    "profile, n", [(REDDIT, 3000), (AMINER, 2000), (TWITTER, 3000)],
+    ids=["reddit-3k", "aminer-2k", "twitter-3k"],
+)
+def test_rebuilt_window_equals_uninterrupted(profile, n):
+    """A_t, δ, every RL_i and I_t depend only on A_t's elements: one
+    ``ingest`` of them, in arrival order, rebuilds the uninterrupted
+    window bit for bit at every fourth bucket boundary."""
+    T, L = 1440, 15
+    stream = generate_stream(profile, n_elements=n, z=50, duration=3 * 1440, seed=1)
+    elems = build_elements(stream)
+    w = ActiveWindow(T=T, lam=profile.lam, eta=profile.eta)
+    pos = 0
+    for k, b in enumerate(range(L, stream.t_end + L, L)):
+        end = pos
+        while end < len(elems) and elems[end].ts <= b:
+            end += 1
+        w.ingest(elems[pos:end], b)
+        pos = end
+        if b < T or k % 4:
+            continue
+        rebuilt = ActiveWindow(T=T, lam=profile.lam, eta=profile.eta)
+        rebuilt.ingest([e for eid, e in w.store.items() if eid in w.active], b)
+        assert _window_state(rebuilt) == _window_state(w), f"t={b}"
 
 
 def test_monotone_time_enforced(mini_phi):
