@@ -1,11 +1,11 @@
 """k-SIR representativeness scoring (Section 3.2).
 
-An element is recorded by :func:`make_element` and scored later, a batch
-at a time, by :func:`score_elements`, the one implementation of the
-word weights σ_i(w,e) and singleton semantic scores R_i(e):
-``ActiveWindow.ingest`` scores the unscored elements of each bucket
-before it changes any state, and :func:`build_elements` scores a whole
-stream up front, in fixed-size slices.
+An element is recorded by :func:`make_element` (:func:`build_elements`
+records a whole stream) and scored later, a bucket at a time, by
+:func:`score_elements`, the one implementation of the word weights
+σ_i(w,e) and singleton semantic scores R_i(e).  Its one caller is
+``ActiveWindow.ingest``, which scores the unscored elements of each
+bucket before it changes any state.
 
 Implements the topic-specific semantic score R_i (weighted word
 coverage, Eq. 3), the topic-specific time-critical influence score
@@ -53,10 +53,9 @@ class Element:
     topic-word matrix the element is scored against.  ``sigma[i]`` is aligned with ``words`` and holds
     σ_i(w,e) = −γ(w,e)·p_i(w,e)·log p_i(w,e); ``R[i]`` is the singleton
     semantic score R_i(e) = Σ_w σ_i(w,e).  Both stay ``None`` until
-    :func:`score_elements` fills them: ``ActiveWindow.ingest`` scores
-    the unscored elements of each bucket, :func:`build_elements` a whole
-    stream.  Each σ_i(·,e) is a view into the array of the batch it was
-    scored in.
+    ``ActiveWindow.ingest`` scores the element's bucket
+    (:func:`score_elements`).  Each σ_i(·,e) is a view into the array
+    of the batch it was scored in.
     """
 
     __slots__ = ("eid", "ts", "words", "freqs", "tp", "sigma", "R", "refs", "phi")
@@ -170,26 +169,17 @@ def score_elements(elements: Sequence[Element]) -> None:
         e.R = dict(zip(e.tp, it_r))
 
 
-#: elements per :func:`score_elements` call in :func:`build_elements`: it
-#: bounds the batch temporaries, and each σ view keeps only its slice's array
-_SCORE_CHUNK = 4096
-
-
 def build_elements(stream) -> list[Element]:
-    """Materialise and score every element of a :class:`~repro.corpus.SocialStream`,
-    :data:`_SCORE_CHUNK` elements per scoring pass (each row is reduced on
-    its own, so the slicing does not change a bit)."""
+    """Record every element of a :class:`~repro.corpus.SocialStream`,
+    unscored (:func:`make_element`)."""
     phi = stream.model.phi
-    elements = [
+    return [
         make_element(
             e, stream.ts[e], stream.docs[e][0], stream.docs[e][1],
             stream.topic_ids[e], stream.topic_probs[e], stream.refs[e], phi,
         )
         for e in range(stream.n)
     ]
-    for a in range(0, len(elements), _SCORE_CHUNK):
-        score_elements(elements[a : a + _SCORE_CHUNK])
-    return elements
 
 
 class CoverageState:
@@ -210,12 +200,10 @@ class CoverageState:
     Without a view, each call builds its own.
     """
 
-    __slots__ = ("ctx", "lam", "c_inf", "xw", "wordcov", "remprob", "S", "value")
+    __slots__ = ("ctx", "xw", "wordcov", "remprob", "S", "value")
 
     def __init__(self, ctx: ActiveWindow, topics: Iterable[int], weights: Iterable[float]) -> None:
         self.ctx = ctx
-        self.lam = ctx.lam
-        self.c_inf = ctx.c_inf
         self.xw = {int(i): float(x) for i, x in zip(topics, weights) if x > 0}
         self.wordcov: dict[int, dict[int, float]] = {i: {} for i in self.xw}
         self.remprob: dict[tuple[int, int], float] = {}
@@ -225,7 +213,7 @@ class CoverageState:
     def copy(self) -> CoverageState:
         """An independent state with the same S, coverage and f(S, x)."""
         c = CoverageState.__new__(CoverageState)
-        c.ctx, c.lam, c.c_inf, c.xw = self.ctx, self.lam, self.c_inf, self.xw
+        c.ctx, c.xw = self.ctx, self.xw
         c.wordcov = {i: cov.copy() for i, cov in self.wordcov.items()}
         c.remprob = self.remprob.copy()
         c.S = self.S.copy()
@@ -239,6 +227,7 @@ class CoverageState:
         ``((i, c.eid), p_i(e)·p_i(c))`` pairs."""
         out = []
         words = children = None
+        lam, c_inf = self.ctx.lam, self.ctx.c_inf
         for i, xi in self.xw.items():
             pe = e.tp.get(i)
             if pe is None:
@@ -247,7 +236,7 @@ class CoverageState:
                 words = e.words.tolist()
                 children = self.ctx.children_of(e.eid)
             kids = [((i, c.eid), pe * pc) for c in children if (pc := c.tp.get(i)) is not None]
-            out.append((i, xi * self.lam, xi * self.c_inf, words, e.sigma[i].tolist(), kids))
+            out.append((i, xi * lam, xi * c_inf, words, e.sigma[i].tolist(), kids))
         return out
 
     def gain(self, e: Element, view: list[tuple] | None = None) -> float:

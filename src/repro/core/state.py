@@ -31,7 +31,9 @@ class SIRStream:
         self.lam, self.eta = float(lam), float(eta)
         self._pending: list[Element] = []
         self._pos = 0
-        self.update_seconds = 0.0  # cumulative maintenance CPU time
+        # cumulative perf_counter wall time inside window.ingest: σ/R
+        # scoring of each bucket plus window upkeep, on every path
+        self.update_seconds = 0.0
         self.n_ingested = 0
 
     @property

@@ -2,8 +2,8 @@
 
 ``ActiveWindow`` maintains, at stream time t:
 
-* the sliding window W_t = {e | e.ts ∈ [t−T+1, t]}: one queue in arrival
-  order, each entry holding the parents its element was linked to,
+* the sliding window W_t = {e | e.ts ∈ [t−T+1, t]}: one queue of
+  elements in arrival order,
 * per-parent in-window children I_t(e) as one arrival-ordered queue of
   elements, kept only while I_t(e) ≠ ∅ and the only copy of I_t(e): the
   singleton influence I_{i,t}(e) = p_i(e)·Σ_{c∈I_t(e)} p_i(c) is summed
@@ -19,8 +19,10 @@
   the sum of that many list heads.  It only rises, so it stays a bound
   after expiry and re-activation.
 
-Sliding to t pops the queue while ts ≤ t−T, unlinks those elements from
-their parents and drops from A_t whatever has left W_t with no child left.
+Each element is scored (σ_i(·,e), R_i(e)) and added to its parents'
+children here, in ``ingest``, and nowhere else.  Sliding to t pops the queue
+while ts ≤ t−T, unlinks those elements from their parents and drops
+from A_t whatever has left W_t with no child left.
 
 Beyond Algorithm 1 we also *recompute parent scores when a child falls
 out of W_t* (the paper notes influence "fluctuates over the sliding
@@ -51,8 +53,7 @@ class ActiveWindow:
         self.t = 0
         self.store: dict[int, Element] = {}
         self.active: set[int] = set()
-        # W_t in arrival order: (element, eids of the parents it was linked to)
-        self._window: deque[tuple[Element, list[int]]] = deque()
+        self._window: deque[Element] = deque()  # W_t in arrival order
         self._last_ts = float("-inf")  # ts of the latest arrival
         # children[p] = I_t(p) as child elements in arrival order
         self.children: dict[int, deque[Element]] = {}
@@ -108,16 +109,13 @@ class ActiveWindow:
             self.store[e.eid] = e
             self.active.add(e.eid)
             dirty.add(e.eid)
-            linked: list[int] = []
-            for p in e.refs:
-                parent = self.store.get(int(p))
-                if parent is None:
+            for p in e.refs.tolist():
+                if p not in self.store:
                     continue  # reference to an element outside the run
-                linked.append(parent.eid)
-                self.children.setdefault(parent.eid, deque()).append(e)
-                self.active.add(parent.eid)  # (re-)enters A_t by definition
-                dirty.add(parent.eid)
-            self._window.append((e, linked))
+                self.children.setdefault(p, deque()).append(e)
+                self.active.add(p)  # (re-)enters A_t by definition
+                dirty.add(p)
+            self._window.append(e)
         self.t = t
         self._expire(dirty)
         for eid in dirty:
@@ -125,13 +123,18 @@ class ActiveWindow:
 
     def _expire(self, dirty: set[int]) -> None:
         cut = self.t - self.T  # largest ts already outside W_t
-        while self._window and self._window[0][0].ts <= cut:
-            e, linked = self._window.popleft()
+        while self._window and self._window[0].ts <= cut:
+            e = self._window.popleft()
             if e.eid not in self.children:
                 self._drop(e.eid, dirty)
-            for p in linked:
-                kids = self.children[p]
-                kids.popleft()  # the front is e: children leave in arrival order
+            for p in e.refs.tolist():
+                # children leave in arrival order, so e heads exactly the
+                # queues it joined: a ref to an eid that arrived after e
+                # finds another child at the front
+                kids = self.children.get(p)
+                if kids is None or kids[0] is not e:
+                    continue
+                kids.popleft()
                 if kids:
                     dirty.add(p)
                 else:

@@ -9,6 +9,7 @@ bit-identical, which the test suite asserts.
 """
 from __future__ import annotations
 
+import glob
 import os
 
 import numpy as np
@@ -92,9 +93,17 @@ def run_streaming(
     ``foreachBatch`` delivers at least once, so the sink skips every
     bucket at or before ``state.t``: a replayed micro-batch, or a bucket
     a ``state`` passed in has already ingested, changes nothing.
+
+    ``ValueError``, before the query starts, if the directory's
+    checkpoint has committed micro-batches and the state (fresh when
+    none is passed in) has ingested no bucket: the file source would
+    skip the consumed buckets and leave the window empty.
     """
     if state is None:
         state = SIRStream(T=T_len, L=L, lam=lam, eta=eta)
+    checkpoint = os.path.join(path, "_checkpoint")
+    if state.t == 0 and glob.glob(os.path.join(checkpoint, "commits", "*")):  # "*" skips the .crc files
+        raise ValueError(f"{path}: its checkpoint has consumed buckets, but the state has ingested none")
 
     def _sink(batch_df, batch_id: int) -> None:
         pdf = batch_df.toPandas()
@@ -115,7 +124,7 @@ def run_streaming(
     )
     q = (
         reader.writeStream.foreachBatch(_sink)
-        .option("checkpointLocation", os.path.join(path, "_checkpoint"))
+        .option("checkpointLocation", checkpoint)
         .trigger(availableNow=True)
         .start()
     )

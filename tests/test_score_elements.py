@@ -3,15 +3,15 @@
 σ_i(w,e) and R_i(e) used to be computed one element at a time; that
 formula is kept here as the oracle.  The batch scorer must reproduce it
 bit for bit (σ by bytes, R by ``float.hex``), per bucket as
-``ActiveWindow.ingest`` scores and over a whole stream as
-``build_elements`` does, and reject bad input before the window changes.
+``ActiveWindow.ingest`` scores and over a whole stream in one call,
+and reject bad input before the window changes.
 """
 import copy
 
 import numpy as np
 import pytest
 
-from repro.core import ActiveWindow, Element, build_elements, make_element, score_elements, scoring
+from repro.core import ActiveWindow, Element, build_elements, make_element, score_elements
 from repro.corpus import AMINER, REDDIT, TWITTER, generate_stream
 
 L = 15
@@ -43,15 +43,6 @@ def _assert_matches(e, sigma, R):
         assert e.R[i].hex() == R[i].hex(), (e.eid, i)
 
 
-def _raw(stream):
-    phi = stream.model.phi
-    return [
-        make_element(e, stream.ts[e], stream.docs[e][0], stream.docs[e][1],
-                     stream.topic_ids[e], stream.topic_probs[e], stream.refs[e], phi)
-        for e in range(stream.n)
-    ]
-
-
 @pytest.fixture(scope="module", params=[REDDIT, AMINER, TWITTER], ids=lambda p: p.name)
 def stream(request):
     return generate_stream(request.param, n_elements=1500, z=12, duration=480, seed=4)
@@ -66,25 +57,16 @@ def _oracles(stream):
 
 
 def test_whole_stream_matches_oracle(stream):
-    for e, (sigma, R) in zip(build_elements(stream), _oracles(stream)):
-        _assert_matches(e, sigma, R)
-
-
-def test_sliced_build_matches_oracle(stream, monkeypatch):
-    """``build_elements`` scores in fixed-size slices, the last one ragged;
-    each σ view keeps only its own slice's array alive."""
-    monkeypatch.setattr(scoring, "_SCORE_CHUNK", 437)
     elems = build_elements(stream)
+    assert all(e.sigma is None and e.R is None for e in elems)
+    score_elements(elems)
     for e, (sigma, R) in zip(elems, _oracles(stream)):
         _assert_matches(e, sigma, R)
-    bases = [{id(s.base) for s in e.sigma.values()} for e in elems]
-    first, last = set().union(*bases[:437]), set().union(*bases[437:874])
-    assert first and last and not first & last
 
 
 def test_each_bucket_matches_oracle(stream):
-    """``make_element`` records, ``ActiveWindow.ingest`` scores per bucket."""
-    raw = _raw(stream)
+    """``build_elements`` records, ``ActiveWindow.ingest`` scores per bucket."""
+    raw = build_elements(stream)
     assert all(e.sigma is None and e.R is None for e in raw)
     w = ActiveWindow(T=240, lam=0.5, eta=2.0)
     cuts = np.searchsorted(stream.ts, range(L, stream.t_end + L, L), side="right")
@@ -181,7 +163,7 @@ def _state(w):
         w.t, w._last_ts, sorted(w.store), sorted(w.active), w.delta,
         {i: list(lst) for i, lst in w.rl.lists.items()}, w.rl.max_topics,
         {p: [c.eid for c in kids] for p, kids in w.children.items()},
-        [(e.eid, linked) for e, linked in w._window],
+        [e.eid for e in w._window],
     ))
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core import SIRStream, build_elements, make_element, mttd, mtts
+from repro.core import SIRStream, build_elements, make_element, mttd, mtts, score_elements
 from repro.corpus import TWITTER, generate_queries, generate_stream
 from repro.spark.streaming import bucket_schema, run_streaming, write_buckets
 
@@ -87,7 +87,9 @@ def test_query_results_identical(stream, batch_state, stream_state):
 def test_streaming_element_reconstruction(stream, stream_state):
     """Elements rebuilt from parquet rows carry identical content, and the
     sink's per-bucket scoring gives the batch path's σ and R bit for bit."""
-    ref = {e.eid: e for e in build_elements(stream)}
+    elems = build_elements(stream)
+    score_elements(elems)
+    ref = {e.eid: e for e in elems}
     got = stream_state.window.store
     assert set(got) == set(ref)
     for eid, e in got.items():

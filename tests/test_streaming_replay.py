@@ -4,8 +4,12 @@
 must skip a bucket the state has already ingested rather than raise.
 Here a state is batch-replayed up to mid-stream and then handed the
 whole bucket directory: every bucket up to the state's t is one it has
-seen, and the result must equal one uninterrupted batch replay.
+seen, and the result must equal one uninterrupted batch replay.  A
+directory whose checkpoint has consumed its buckets is rejected for a
+state that has ingested none.
 """
+import re
+
 import pytest
 
 from repro.core import SIRStream, build_elements
@@ -44,3 +48,19 @@ def test_resumed_stream_equals_batch(spark, stream, tmp_path):
     topics = set(batch.window.rl.lists) | set(resumed.window.rl.lists)
     for i in topics:
         assert resumed.window.rl.items(i) == batch.window.rl.items(i), f"topic {i}"
+
+
+@pytest.mark.parametrize("fresh", [False, True], ids=["no-state", "fresh-state"])
+def test_consumed_directory_rejects_a_fresh_state(spark, stream, tmp_path, fresh):
+    """The checkpoint marks every bucket file as consumed, so a second
+    query over the directory from t = 0 would ingest nothing."""
+    path = str(tmp_path / "buckets")
+    write_buckets(stream, path, SMALL_L)
+    first = run_streaming(spark, path, stream.model.phi, SMALL_T, SMALL_L, LAM, ETA)
+    assert first.n_ingested == stream.n
+
+    state = SIRStream(T=SMALL_T, L=SMALL_L, lam=LAM, eta=ETA) if fresh else None
+    with pytest.raises(ValueError, match=re.escape(path)):
+        run_streaming(spark, path, stream.model.phi, SMALL_T, SMALL_L, LAM, ETA, state=state)
+    if fresh:
+        assert state.t == 0 and state.n_ingested == 0

@@ -120,6 +120,25 @@ def test_reference_resurrects_expired_element(mini_phi):
     assert 0 not in w.active
 
 
+def test_forward_reference_does_not_unlink_a_later_child(mini_phi):
+    """A ref to an eid that arrives later links nothing, so its expiry
+    leaves the parent's real child in place."""
+    els = _mini_elements(
+        mini_phi,
+        [
+            (5, 1, [0], ([0], [1.0]), [9]),  # refers to e9 before it exists
+            (9, 2, [1], ([0], [1.0]), []),
+            (10, 3, [0, 1], ([0], [1.0]), [9]),
+        ],
+    )
+    w = ActiveWindow(T=4, lam=0.5, eta=2.0)
+    for e in els:
+        w.ingest([e], e.ts)
+    w.ingest([], 5)  # e5 leaves W_t
+    assert [c.eid for c in w.children_of(9)] == [10]
+    assert w.active == {9, 10}
+
+
 def test_child_expiry_shrinks_influence(mini_phi):
     """δ_i(parent) drops when a referring child leaves the window."""
     els = _mini_elements(
