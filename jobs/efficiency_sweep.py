@@ -1,6 +1,6 @@
 """Efficiency & scalability sweeps (Figures 7–14's headline numbers).
 
-Per-query CPU time / quality / evaluated-element ratios for CELF,
+Per-query wall time / quality / evaluated-element ratios for CELF,
 SieveStreaming, Top-k Representative, MTTS, MTTD; sweeps over ε and k;
 ranked-list update cost.  Results back the speedup and quality-loss
 claims recorded in EXPERIMENTS.md.

@@ -4,7 +4,7 @@
 
 * the sliding window W_t = {e | e.ts ∈ [t−T+1, t]}: one queue of
   elements in arrival order,
-* per-parent in-window children I_t(e) as one arrival-ordered queue of
+* per-parent in-window children I_t(e) as one arrival-ordered list of
   elements, kept only while I_t(e) ≠ ∅ and the only copy of I_t(e): the
   singleton influence I_{i,t}(e) = p_i(e)·Σ_{c∈I_t(e)} p_i(c) is summed
   from it whenever e is re-scored,
@@ -20,9 +20,10 @@
   after expiry and re-activation.
 
 Each element is scored (σ_i(·,e), R_i(e)) and added to its parents'
-children here, in ``ingest``, and nowhere else.  Sliding to t pops the queue
-while ts ≤ t−T, unlinks those elements from their parents and drops
-from A_t whatever has left W_t with no child left.
+children here, in ``ingest``, and nowhere else.  Sliding to t pops W_t
+while ts ≤ t−T, deletes those elements from the head of their parents'
+children lists and drops from A_t whatever has left W_t with no child
+left.
 
 Beyond Algorithm 1 we also *recompute parent scores when a child falls
 out of W_t* (the paper notes influence "fluctuates over the sliding
@@ -56,7 +57,7 @@ class ActiveWindow:
         self._window: deque[Element] = deque()  # W_t in arrival order
         self._last_ts = float("-inf")  # ts of the latest arrival
         # children[p] = I_t(p) as child elements in arrival order
-        self.children: dict[int, deque[Element]] = {}
+        self.children: dict[int, list[Element]] = {}
         self.delta: dict[int, dict[int, float]] = {}
 
     # -- queries over state ---------------------------------------------
@@ -112,7 +113,7 @@ class ActiveWindow:
             for p in e.refs.tolist():
                 if p not in self.store:
                     continue  # reference to an element outside the run
-                self.children.setdefault(p, deque()).append(e)
+                self.children.setdefault(p, []).append(e)
                 self.active.add(p)  # (re-)enters A_t by definition
                 dirty.add(p)
             self._window.append(e)
@@ -129,12 +130,12 @@ class ActiveWindow:
                 self._drop(e.eid, dirty)
             for p in e.refs.tolist():
                 # children leave in arrival order, so e heads exactly the
-                # queues it joined: a ref to an eid that arrived after e
+                # lists it joined: a ref to an eid that arrived after e
                 # finds another child at the front
                 kids = self.children.get(p)
                 if kids is None or kids[0] is not e:
                     continue
-                kids.popleft()
+                del kids[0]
                 if kids:
                     dirty.add(p)
                 else:

@@ -26,16 +26,22 @@ row gather on an element × topic membership matrix.  Only the topic pick
 and the reference pick stay per-element loops: how many random numbers
 they consume depends on the values drawn.  A stream is a function of its
 arguments down to the bit (``tests/test_generator.py`` pins digests).
+
+The module needs numpy alone: pandas is imported by the ``*_pdf`` table
+views, on their first call, so the batch stream core never loads it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import pandas as pd
 
 from repro.corpus.profiles import StreamProfile
 from repro.topics.model import TopicModel
+
+if TYPE_CHECKING:
+    import pandas as pd
 
 __all__ = ["SocialStream", "Query", "generate_stream", "generate_queries"]
 
@@ -88,6 +94,8 @@ class SocialStream:
     # -- Spark / oracle table views -------------------------------------
     def tokens_pdf(self) -> pd.DataFrame:
         """Long table ``(eid, word, freq)`` of distinct words per element."""
+        import pandas as pd
+
         words = [w for w, _ in self.docs]
         return pd.DataFrame({
             "eid": _owners(words),
@@ -97,6 +105,8 @@ class SocialStream:
 
     def elem_topics_pdf(self) -> pd.DataFrame:
         """Long table ``(eid, topic, p_e)`` of non-zero topic probabilities."""
+        import pandas as pd
+
         return pd.DataFrame({
             "eid": _owners(self.topic_ids),
             "topic": _concat(self.topic_ids, int),
@@ -105,13 +115,19 @@ class SocialStream:
 
     def refs_pdf(self) -> pd.DataFrame:
         """Long table ``(child, parent)`` of references."""
+        import pandas as pd
+
         return pd.DataFrame({"child": _owners(self.refs), "parent": _concat(self.refs, int)})
 
     def elems_pdf(self) -> pd.DataFrame:
+        import pandas as pd
+
         return pd.DataFrame({"eid": np.arange(self.n), "ts": self.ts.astype(int)})
 
     def topic_words_pdf(self) -> pd.DataFrame:
         """Long table ``(topic, word, p_w)`` of the topic model."""
+        import pandas as pd
+
         t, w = np.nonzero(self.model.phi)
         return pd.DataFrame({"topic": t, "word": w, "p_w": self.model.phi[t, w]})
 

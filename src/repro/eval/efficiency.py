@@ -1,8 +1,9 @@
 """Efficiency and scalability harness (Section 5.3, Figures 7–14).
 
-Per-query CPU time and result quality for CELF, SieveStreaming, Top-k
-Representative, MTTS, and MTTD over a shared window snapshot; sweeps
-over ε and k; and ranked-list maintenance cost per arrival element.
+Per-query wall time (``perf_counter``) and result quality for CELF,
+SieveStreaming, Top-k Representative, MTTS, and MTTD over a shared
+window snapshot; sweeps over ε and k; and ranked-list maintenance cost
+per arrival element.
 These back the paper's headline claims (MTTS/MTTD speedups over the
 baselines with ≤5 %/1 % quality loss, Figure 11's ≥98 % pruning, and
 Figure 14's sub-millisecond updates), recorded in EXPERIMENTS.md.
@@ -49,7 +50,8 @@ def bench_queries(
     eps: float = DEFAULTS.eps,
     algorithms: tuple[str, ...] = ALGORITHMS,
 ) -> pd.DataFrame:
-    """Average per-query CPU time, score, and evaluated-element ratio.
+    """Average per-query wall time (``perf_counter``), score, and
+    evaluated-element ratio.
 
     One row per algorithm; ``score_vs_celf`` is the quality ratio of
     Figures 8/10, ``eval_ratio`` the Figure-11 ratio n'_t / n_t.

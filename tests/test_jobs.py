@@ -1,7 +1,9 @@
 """How the tree runs from ``src``: each ``jobs/`` entrypoint parses its
 options and imports what it uses, so ``--help`` exits 0 without running a
 job or writing a result; the Spark-free harness modules import without
-pyspark; and the root conftest sizes the Spark driver heap by one rule."""
+pyspark; the batch stream core generates, ingests and queries a stream
+with numpy alone; and the root conftest sizes the Spark driver heap by
+one rule."""
 import os
 import subprocess
 import sys
@@ -49,6 +51,35 @@ def test_spark_free_modules_import_without_pyspark():
     ))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+_STREAM_CORE_RUN = """
+import sys
+from repro.baselines import celf, sieve_streaming, topk_representative
+from repro.core import SIRStream, build_elements, mttd, mtts
+from repro.corpus import REDDIT, generate_queries, generate_stream
+import repro.topics
+
+stream = generate_stream(REDDIT, n_elements=300, z=10, duration=240, seed=3)
+st = SIRStream(T=120, L=15, lam=REDDIT.lam, eta=REDDIT.eta)
+st.load(build_elements(stream))
+st.run_all()
+q = generate_queries(stream, 1, seed=3, t_min=120)[0]
+for answer in (mtts, mttd, celf, sieve_streaming, topk_representative):
+    assert answer(st, q, 5).eids, answer.__name__
+heavy = {"pandas", "pyarrow", "pyspark", "duckdb"}
+print(sorted({m.split(".")[0] for m in sys.modules} & heavy))
+df = stream.elems_pdf()
+print(type(df).__module__.split(".")[0], type(df).__name__, len(df) == stream.n)
+"""
+
+
+def test_stream_core_imports_numpy_only():
+    """Generating, ingesting and querying a stream loads none of pandas,
+    pyarrow, pyspark or duckdb; the ``*_pdf`` table views load pandas."""
+    proc = _python("-c", _STREAM_CORE_RUN)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "pandas DataFrame True"]
 
 
 def test_driver_mem_rule(monkeypatch):
