@@ -55,14 +55,15 @@ class SIRStream:
 
     def advance_to(self, t: int) -> None:
         """Process every bucket boundary L, 2L, … ≤ t from the loaded
-        sequence (no-op boundaries still slide the window)."""
+        sequence (no-op boundaries still slide the window).  A bucket
+        the window rejects stays pending, so a retry raises again."""
         b = (self.t // self.L + 1) * self.L
         while b <= t:
-            batch: list[Element] = []
-            while self._pos < len(self._pending) and self._pending[self._pos].ts <= b:
-                batch.append(self._pending[self._pos])
-                self._pos += 1
-            self.ingest_bucket(batch, b)
+            end = self._pos
+            while end < len(self._pending) and self._pending[end].ts <= b:
+                end += 1
+            self.ingest_bucket(self._pending[self._pos:end], b)
+            self._pos = end
             b += self.L
 
     def run_all(self, t_end: int | None = None) -> None:

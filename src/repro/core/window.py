@@ -19,11 +19,14 @@
   the sum of that many list heads.  It only rises, so it stays a bound
   after expiry and re-activation.
 
-Each element is scored (σ_i(·,e), R_i(e)) and added to its parents'
-children here, in ``ingest``, and nowhere else.  Sliding to t pops W_t
-while ts ≤ t−T, deletes those elements from the head of their parents'
-children lists and drops from A_t whatever has left W_t with no child
-left.
+Elements arrive in the paper's order (§3.1): across all ingests ts never
+decreases and eid strictly increases, and each element refers only to
+eids below its own.  ``ingest`` checks that order against one (ts, eid)
+cursor.  Each element is scored (σ_i(·,e), R_i(e)) and added to its
+parents' children here, in ``ingest``, and nowhere else.  Sliding to t
+pops W_t while ts ≤ t−T; by the arrival order each popped element heads
+the children list of every parent it joined, so it is deleted from the
+front, and whatever has left W_t with no child left drops from A_t.
 
 Beyond Algorithm 1 we also *recompute parent scores when a child falls
 out of W_t* (the paper notes influence "fluctuates over the sliding
@@ -55,7 +58,7 @@ class ActiveWindow:
         self.store: dict[int, Element] = {}
         self.active: set[int] = set()
         self._window: deque[Element] = deque()  # W_t in arrival order
-        self._last_ts = float("-inf")  # ts of the latest arrival
+        self._last = (float("-inf"), float("-inf"))  # (ts, eid) of the latest arrival
         # children[p] = I_t(p) as child elements in arrival order
         self.children: dict[int, list[Element]] = {}
         self.delta: dict[int, dict[int, float]] = {}
@@ -80,29 +83,26 @@ class ActiveWindow:
     def ingest(self, elements: Iterable[Element], t: int) -> None:
         """Apply bucket B_t and slide to time t, scoring the bucket's
         unscored elements first (:func:`score_elements`).  ``ValueError``,
-        state untouched, if t goes back, a ts is < the last arrival's or
-        > t, an eid was ingested before (a replay would double-count its
-        links), an element's refs repeat an eid or name the element itself
-        (e.ref is a set), or scoring rejects an element.  The eid check
-        reads ``store``: evicting from it must keep it."""
+        state untouched, if t goes back, an element breaks the arrival
+        order (its ts is < the last arrival's or > t, or its eid is not
+        above the last arrival's: a replay would double-count its links),
+        its refs repeat an eid or name an eid ≥ its own (e.ref is a set of
+        earlier elements), or scoring rejects an element."""
         if t < self.t:
             raise ValueError("time must be monotone")
         elements = list(elements)
-        last, seen, unscored = self._last_ts, set(), []
+        (last_ts, last_eid), unscored = self._last, []
         for e in elements:
-            if not last <= e.ts <= t:
-                raise ValueError(f"element {e.eid}: ts {e.ts} not in [{last}, {t}]")
-            if e.eid in self.store or e.eid in seen:
-                raise ValueError(f"element {e.eid} was already ingested")
+            if not (last_ts <= e.ts <= t and e.eid > last_eid):
+                raise ValueError(f"element {e.eid}: ts {e.ts} not in [{last_ts}, {t}] or eid ≤ {last_eid}")
             refs = e.refs.tolist()
-            if e.eid in refs or len(set(refs)) < len(refs):
-                raise ValueError(f"element {e.eid}: refs {refs} repeat an eid or name itself")
-            last = e.ts
-            seen.add(e.eid)
+            if (refs and max(refs) >= e.eid) or len(set(refs)) < len(refs):
+                raise ValueError(f"element {e.eid}: refs {refs} repeat an eid or name itself or a later one")
+            last_ts, last_eid = e.ts, e.eid
             if e.sigma is None:
                 unscored.append(e)
         score_elements(unscored)
-        self._last_ts = last
+        self._last = (last_ts, last_eid)
         dirty: set[int] = set()
         for e in elements:
             if len(e.tp) > self.rl.max_topics:
@@ -129,12 +129,9 @@ class ActiveWindow:
             if e.eid not in self.children:
                 self._drop(e.eid, dirty)
             for p in e.refs.tolist():
-                # children leave in arrival order, so e heads exactly the
-                # lists it joined: a ref to an eid that arrived after e
-                # finds another child at the front
                 kids = self.children.get(p)
-                if kids is None or kids[0] is not e:
-                    continue
+                if kids is None:
+                    continue  # p is outside the run: e joined no list
                 del kids[0]
                 if kids:
                     dirty.add(p)

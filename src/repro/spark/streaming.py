@@ -90,9 +90,14 @@ def run_streaming(
     to ``state.ingest_bucket`` in bucket order, whose window scores them; runs with
     ``trigger(availableNow=True)`` until the directory is drained.
 
-    ``foreachBatch`` delivers at least once, so the sink skips every
-    bucket at or before ``state.t``: a replayed micro-batch, or a bucket
-    a ``state`` passed in has already ingested, changes nothing.
+    Buckets must arrive in time order: each is ingested in (ts, eid)
+    order, the window's arrival contract.  ``foreachBatch`` delivers at
+    least once, so a bucket at or before ``state.t`` whose eids the state
+    has all ingested (a replayed micro-batch, or a bucket a ``state``
+    passed in has already ingested) changes nothing.  Any other bucket at
+    or before ``state.t`` arrived late: the sink's ``ValueError`` naming
+    it fails the query, so ``awaitTermination`` raises a
+    ``StreamingQueryException``, with the state untouched.
 
     ``ValueError``, before the query starts, if the directory's
     checkpoint has committed micro-batches and the state (fresh when
@@ -111,7 +116,9 @@ def run_streaming(
             return
         for b, grp in sorted(pdf.groupby("bucket_t"), key=lambda kv: kv[0]):
             if b <= state.t:
-                continue
+                if state.window.store.keys() >= set(grp["eid"].tolist()):
+                    continue
+                raise ValueError(f"bucket-{b:012d}: late, the state is already at t = {state.t}")
             # (ts, eid) is a total order: a reply in its parent's minute
             # must still be ingested after the parent it refers to
             rows = grp.sort_values(["ts", "eid"])[_ELEMENT_COLUMNS].itertuples(index=False)

@@ -160,7 +160,7 @@ def test_sigma_is_a_view_of_the_batch_array(phi):
 
 def _state(w):
     return copy.deepcopy((
-        w.t, w._last_ts, sorted(w.store), sorted(w.active), w.delta,
+        w.t, w._last, sorted(w.store), sorted(w.active), w.delta,
         {i: list(lst) for i, lst in w.rl.lists.items()}, w.rl.max_topics,
         {p: [c.eid for c in kids] for p, kids in w.children.items()},
         [e.eid for e in w._window],
@@ -176,13 +176,15 @@ BAD = [
     ("inf-probability", [0], [2], [float("inf")], None, (), "not finite"),
     # the batch's γ is one array: a short row would shift every later element's
     ("freqs-shorter-than-words", [0, 1, 2], [0], [1.0], [1.0, 2.0], (), "2 freqs for 3 words"),
-    # e.ref is a set: a repeat would count e twice in I_t(p), a self-reference
-    # would make e its own child
+    # e.ref is a set of earlier elements: a repeat would count e twice in
+    # I_t(p), a self-reference would make e its own child, a forward one
+    # would name an element that cannot arrive after e
     ("repeated-ref", [0], [0], [1.0], None, [0, 0], "repeat an eid"),
     ("repeated-ref-among-others", [0], [0], [1.0], None, [1, 0, 1], "repeat an eid"),
     ("repeated-unknown-ref", [0], [0], [1.0], None, [9, 9], "repeat an eid"),
     ("self-ref", [0], [0], [1.0], None, [3], "name itself"),
     ("self-ref-among-others", [0], [0], [1.0], None, [0, 3], "name itself"),
+    ("forward-ref", [0], [0], [1.0], None, [0, 4], "a later one"),
 ]
 
 

@@ -1,16 +1,19 @@
-"""The streaming sink is replay-idempotent.
+"""The streaming sink is replay-idempotent and rejects late buckets.
 
 ``foreachBatch`` delivers each micro-batch at least once, so the sink
 must skip a bucket the state has already ingested rather than raise.
 Here a state is batch-replayed up to mid-stream and then handed the
 whole bucket directory: every bucket up to the state's t is one it has
 seen, and the result must equal one uninterrupted batch replay.  A
-directory whose checkpoint has consumed its buckets is rejected for a
-state that has ingested none.
+bucket file that turns up after the state has passed its time is not a
+replay: it raises, naming the bucket.  A directory whose checkpoint has
+consumed its buckets is rejected for a state that has ingested none.
 """
+import os
 import re
 
 import pytest
+from pyspark.errors import StreamingQueryException
 
 from repro.core import SIRStream, build_elements
 from repro.corpus import TWITTER, generate_stream
@@ -48,6 +51,23 @@ def test_resumed_stream_equals_batch(spark, stream, tmp_path):
     topics = set(batch.window.rl.lists) | set(resumed.window.rl.lists)
     for i in topics:
         assert resumed.window.rl.items(i) == batch.window.rl.items(i), f"topic {i}"
+
+
+def test_late_bucket_raises(spark, stream, tmp_path):
+    """A bucket file held back past its time and then restored is
+    rejected by name; the state keeps what it had ingested."""
+    path = str(tmp_path / "buckets")
+    write_buckets(stream, path, SMALL_L)
+    late = os.path.join(path, "bucket-000000000090.parquet")
+    held = str(tmp_path / "held.parquet")
+    os.rename(late, held)
+    state = run_streaming(spark, path, stream.model.phi, 120, SMALL_L, LAM, ETA)
+    assert state.t == 360 and state.n_ingested == len(state.window.store) == 284
+
+    os.rename(held, late)
+    with pytest.raises(StreamingQueryException, match="bucket-000000000090"):
+        run_streaming(spark, path, stream.model.phi, 120, SMALL_L, LAM, ETA, state=state)
+    assert state.t == 360 and state.n_ingested == len(state.window.store) == 284
 
 
 @pytest.mark.parametrize("fresh", [False, True], ids=["no-state", "fresh-state"])

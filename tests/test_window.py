@@ -120,25 +120,6 @@ def test_reference_resurrects_expired_element(mini_phi):
     assert 0 not in w.active
 
 
-def test_forward_reference_does_not_unlink_a_later_child(mini_phi):
-    """A ref to an eid that arrives later links nothing, so its expiry
-    leaves the parent's real child in place."""
-    els = _mini_elements(
-        mini_phi,
-        [
-            (5, 1, [0], ([0], [1.0]), [9]),  # refers to e9 before it exists
-            (9, 2, [1], ([0], [1.0]), []),
-            (10, 3, [0, 1], ([0], [1.0]), [9]),
-        ],
-    )
-    w = ActiveWindow(T=4, lam=0.5, eta=2.0)
-    for e in els:
-        w.ingest([e], e.ts)
-    w.ingest([], 5)  # e5 leaves W_t
-    assert [c.eid for c in w.children_of(9)] == [10]
-    assert w.active == {9, 10}
-
-
 def test_child_expiry_shrinks_influence(mini_phi):
     """δ_i(parent) drops when a referring child leaves the window."""
     els = _mini_elements(
@@ -181,27 +162,43 @@ def test_t_e_is_last_reference_time(mini_phi):
 
 
 @pytest.mark.parametrize(
-    "earlier, bad, t",
+    "earlier, bucket, t",
     [
         ([], [(0, 5), (1, 3)], 10),  # older than the previous one in its bucket
         ([(0, 5)], [(1, 3)], 20),  # older than one in an earlier bucket
         ([], [(0, 5), (1, 12)], 10),  # ts > t
         ([(0, 5)], [(0, 5)], 10),  # e0 again, same ts and t
         ([], [(0, 5), (0, 5)], 10),  # e0 twice in one bucket
+        ([(1, 5)], [(0, 6)], 10),  # eid below one in an earlier bucket
+        ([], [(1, 5), (0, 6)], 10),  # eid below the previous one in its bucket
+        # a later ts does not excuse a repeated eid: (ts, eid) rising
+        # lexicographically is not the contract
+        ([(0, 5)], [(0, 6)], 10),
+        ([], [(0, 5), (0, 6)], 10),
+        # accepted: a reply in its parent's minute, with a higher eid
+        ([(0, 5)], [(1, 5, 0)], 10),
+        ([], [(0, 5), (1, 5, 0)], 10),
     ],
-    ids=["same-bucket", "earlier-bucket", "after-t", "replayed", "twice-in-bucket"],
+    ids=["same-bucket", "earlier-bucket", "after-t", "replayed", "twice-in-bucket",
+         "lower-eid-earlier-bucket", "lower-eid-same-bucket",
+         "repeat-at-later-ts", "repeat-at-later-ts-in-bucket",
+         "same-minute-reply-ok", "same-minute-reply-in-bucket-ok"],
 )
-def test_out_of_order_arrival_raises(mini_phi, earlier, bad, t):
-    """The W_t queue needs arrivals in ts order, each with ts ≤ t and an
-    eid not ingested before; a bad bucket is rejected whole."""
-    def plain(pairs):
-        return _mini_elements(mini_phi, [(e, ts, [0], ([0], [1.0]), []) for e, ts in pairs])
+def test_out_of_order_arrival_raises(mini_phi, earlier, bucket, t):
+    """Across ingests ts never decreases and eid strictly increases, and
+    each ts is ≤ t; a bad bucket is rejected whole.  (eid, ts, *refs)."""
+    def plain(specs):
+        return _mini_elements(mini_phi, [(e, ts, [0], ([0], [1.0]), refs) for e, ts, *refs in specs])
 
     w = ActiveWindow(T=100, lam=0.5, eta=2.0)
     w.ingest(plain(earlier), 10)
+    if any(len(spec) > 2 for spec in bucket):  # the accepted cases: a reply to e0
+        w.ingest(plain(bucket), t)
+        assert [c.eid for c in w.children_of(0)] == [1]
+        return
     before = (w.t, set(w.store))
     with pytest.raises(ValueError):
-        w.ingest(plain(bad), t)
+        w.ingest(plain(bucket), t)
     assert (w.t, set(w.store)) == before
 
 
@@ -268,6 +265,19 @@ def test_monotone_time_enforced(mini_phi):
     w.ingest([], 10)
     with pytest.raises(ValueError):
         w.ingest([], 9)
+
+
+def test_rejected_bucket_stays_pending(mini_phi):
+    """``advance_to`` moves past a bucket only once the window took it, so
+    a retry raises again instead of skipping the bucket's elements."""
+    st = SIRStream(T=20, L=5, lam=0.5, eta=2.0)
+    st.load(_mini_elements(mini_phi, [(e, ts, [0], ([0], [1.0]), []) for e, ts in [(0, 1), (2, 6), (1, 7)]]))
+    st.advance_to(5)
+    before = (st.t, st.n_ingested, set(st.window.store))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="element 1"):
+            st.advance_to(10)
+        assert (st.t, st.n_ingested, set(st.window.store)) == before == (5, 1, {0})
 
 
 def test_update_time_accounting(stream):
